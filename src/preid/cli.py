@@ -48,6 +48,8 @@ from .evaluation import (
     report_from_predictions,
 )
 from .model import (
+    EDGECONV_LITE,
+    POINTNET_LITE,
     CheckpointError,
     EncoderConfig,
     ReidModel,
@@ -57,7 +59,7 @@ from .model import (
     load_checkpoint,
 )
 from .sampling import build_eval_set, read_eval_set, write_eval_set
-from .training import ScheduleConfig, TrainConfig, train
+from .training import EVEN, UNIFORM, TrainConfig, train
 from .util import atomic_write
 
 USAGE_ERROR = 1
@@ -84,21 +86,43 @@ def _resolved_config(out_dir, command: str, values: dict) -> None:
     _write_json(Path(out_dir) / "resolved_config.json", {"command": command, **values})
 
 
-def _load_config_file(path) -> dict:
-    if path is None:
-        return {}
-    try:
-        return json.loads(Path(path).read_text())
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{path}: bad JSON config ({e})") from e
+def _configure(path, args, *targets) -> list:
+    """Build config objects from a JSON config file and explicit flags.
 
-
-def _pick(args_value, config: dict, key: str, default):
-    if args_value is not None:
-        return args_value
-    if key in config:
-        return config[key]
-    return default
+    Each target is ``(base, keys)``: a library dataclass instance (a preset
+    or the defaults) and a map from config-file key to the field of ``base``
+    that the key sets. A key is also the argparse dest of its flag, if it
+    has one. File values replace the base's and explicit flags replace
+    both, via ``dataclasses.replace``. A file key that no target knows is a
+    ConfigError naming the file and the key.
+    """
+    config = {}
+    if path is not None:
+        try:
+            config = json.loads(Path(path).read_text())
+        except json.JSONDecodeError as e:
+            raise FormatError(f"{path}: bad JSON config ({e})") from e
+        if not isinstance(config, dict):
+            raise FormatError(f"{path}: config must be a JSON object")
+        known = {key for _, keys in targets for key in keys}
+        for key in config:
+            if key not in known:
+                raise ConfigError(f"{path}: unknown config key {key!r}; "
+                                  f"known keys: {', '.join(sorted(known))}")
+    out = []
+    for base, keys in targets:
+        values = {}
+        for key, field in keys.items():
+            flag = getattr(args, key, None)
+            if flag is not None:
+                values[field] = flag
+            elif key in config:
+                values[field] = config[key]
+        try:
+            out.append(dataclasses.replace(base, **values))
+        except TypeError as e:
+            raise ConfigError(f"{path}: {e}") from e
+    return out
 
 
 def _parse_objects(text: str) -> dict[str, int]:
@@ -122,32 +146,31 @@ def _parse_ints(text: str) -> list[int]:
 # -- subcommand handlers -------------------------------------------------
 
 
+_SYNTH_PRESETS = {
+    "default": SynthConfig,
+    "benchmark": SynthConfig.benchmark,
+    "separable": SynthConfig.separable,
+}
+_SYNTH_KEYS = {f.name: f.name for f in dataclasses.fields(SynthConfig)}
+
+# train config-file keys (also the dests of their flags) per config object;
+# "dim" sets both the encoder's output width and the head's width
+_ENCODER_KEYS = {"encoder": "kind", "dim": "out_dim", "n_points": "n_points"}
+_RTMM_KEYS = {"dim": "dim", "layers": "layers"}
+_TRAIN_KEYS = {key: key for key in ("lr_base", "weight_decay", "clip_norm",
+                                    "batch_size", "epochs", "sampler")}
+
+
 def _cmd_gen_synthetic(args) -> int:
-    config = _load_config_file(args.config)
-    if args.preset == "benchmark":
-        cfg = SynthConfig.benchmark()
-    elif args.preset == "separable":
-        cfg = SynthConfig.separable()
-    else:
-        cfg = SynthConfig()
-    cfg = SynthConfig(
-        n_objects=_parse_objects(args.objects) if args.objects else _pick(None, config, "n_objects", cfg.n_objects),
-        frames=_pick(args.frames, config, "frames", cfg.frames),
-        lam=_parse_floats(args.lam) if args.lam else _pick(None, config, "lam", cfg.lam),
-        sigma_center=_pick(args.sigma_center, config, "sigma_center", cfg.sigma_center),
-        sigma_yaw=_pick(args.sigma_yaw, config, "sigma_yaw", cfg.sigma_yaw),
-        fp_rate=_pick(args.fp_rate, config, "fp_rate", cfg.fp_rate),
-        articulation=_pick(None, config, "articulation", cfg.articulation),
-    )
+    (cfg,) = _configure(args.config, args,
+                        (_SYNTH_PRESETS[args.preset](), _SYNTH_KEYS))
     detections, gt, frame_points = generate_synthetic(cfg, args.seed)
     out = Path(args.out)
     write_detections(detections, out / "detections.jsonl")
     write_gt(gt, out / "gt.jsonl")
     write_frames(frame_points, out)
     _resolved_config(out, "gen-synthetic", {
-        "seed": args.seed, "preset": args.preset,
-        **{k: v if not isinstance(v, tuple) else list(v)
-           for k, v in dataclasses.asdict(cfg).items()},
+        "seed": args.seed, "preset": args.preset, **dataclasses.asdict(cfg),
     })
     print(f"wrote {len(detections)} detections over {cfg.frames} frames to {out}")
     return 0
@@ -183,38 +206,23 @@ def _cmd_make_eval_set(args) -> int:
 
 
 def _cmd_train(args) -> int:
-    config = _load_config_file(args.config)
+    encoder_cfg, rtmm_cfg, train_cfg = _configure(
+        args.config, args,
+        (EncoderConfig(), _ENCODER_KEYS),
+        (RtmmConfig(), _RTMM_KEYS),
+        (TrainConfig(seed=args.seed, early_stop_accuracy=args.early_stop_accuracy),
+         _TRAIN_KEYS),
+    )
     ds = read_dataset(args.dataset)
-    encoder_cfg = EncoderConfig(
-        kind=_pick(args.encoder, config, "encoder", "pointnet_lite"),
-        out_dim=_pick(args.dim, config, "dim", 64),
-        n_points=_pick(args.n_points, config, "n_points", 128),
-    )
-    rtmm_cfg = RtmmConfig(
-        layers=_pick(args.layers, config, "layers", 2),
-        dim=encoder_cfg.out_dim,
-    )
-    train_cfg = TrainConfig(
-        lr_base=_pick(args.lr, config, "lr_base", 3e-4),
-        weight_decay=_pick(args.weight_decay, config, "weight_decay", 0.01),
-        clip_norm=_pick(args.clip_norm, config, "clip_norm", 1.0),
-        batch_size=_pick(args.batch_size, config, "batch_size", 256),
-        epochs=_pick(args.epochs, config, "epochs", 100),
-        schedule=ScheduleConfig(),
-        seed=args.seed,
-        sampler=_pick(args.sampler, config, "sampler", "even"),
-        early_stop_accuracy=args.early_stop_accuracy,
-    )
     model = ReidModel(encoder_cfg, rtmm_cfg, seed=args.seed)
     report = train(model, ds, train_cfg, args.out)
     with atomic_write(Path(args.out) / "model_config.json") as f:
         f.write(config_to_json(encoder_cfg, rtmm_cfg))
     _resolved_config(args.out, "train", {
         "dataset": str(args.dataset), "seed": args.seed,
-        "deterministic": args.deterministic,
         "encoder": dataclasses.asdict(encoder_cfg),
         "rtmm": dataclasses.asdict(rtmm_cfg),
-        "train": {k: v for k, v in dataclasses.asdict(train_cfg).items()},
+        "train": dataclasses.asdict(train_cfg),
     })
     print(f"trained {report.steps} steps over {report.epochs} epochs; "
           f"final loss {report.final_loss:.4f}, checkpoint {report.checkpoint_path}")
@@ -383,12 +391,14 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gen-synthetic", help="generate a synthetic detection/GT/frame log")
     p.add_argument("--out", required=True, help="output directory for the logs")
     p.add_argument("--seed", type=int, default=0, help="generator seed")
-    p.add_argument("--config", help="JSON file with SynthConfig fields")
-    p.add_argument("--preset", choices=["default", "benchmark", "separable"],
+    p.add_argument("--config", help="JSON file with SynthConfig fields; explicit flags win")
+    p.add_argument("--preset", choices=list(_SYNTH_PRESETS),
                    default="default", help="named configuration preset")
-    p.add_argument("--objects", help="per-class object counts, e.g. car=10,pedestrian=5")
+    p.add_argument("--objects", dest="n_objects", metavar="OBJECTS", type=_parse_objects,
+                   help="per-class object counts, e.g. car=10,pedestrian=5")
     p.add_argument("--frames", type=int, help="frames per run")
-    p.add_argument("--lam", help="mean points per observation; comma list is sampled per object")
+    p.add_argument("--lam", type=_parse_floats,
+                   help="mean points per observation; comma list is sampled per object")
     p.add_argument("--sigma-center", type=float, help="detector center noise (m)")
     p.add_argument("--sigma-yaw", type=float, help="detector yaw noise (rad)")
     p.add_argument("--fp-rate", type=float, help="expected clutter detections per frame")
@@ -412,22 +422,21 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a matching model")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
-    p.add_argument("--config", help="JSON config file; explicit flags win")
+    train_keys = ", ".join({**_ENCODER_KEYS, **_RTMM_KEYS, **_TRAIN_KEYS})
+    p.add_argument("--config", help=f"JSON file with the keys {train_keys}; explicit flags win")
     p.add_argument("--seed", type=int, default=0, help="training seed")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--batch-size", type=int, help="pairs per optimizer step")
-    p.add_argument("--lr", type=float, help="base learning rate")
+    p.add_argument("--lr", dest="lr_base", metavar="LR", type=float, help="base learning rate")
     p.add_argument("--weight-decay", type=float, help="decoupled weight decay")
     p.add_argument("--clip-norm", type=float, help="global gradient norm cap")
-    p.add_argument("--sampler", choices=["even", "uniform"], help="pair sampling algorithm")
-    p.add_argument("--encoder", choices=["pointnet_lite", "edgeconv_lite"], help="point encoder")
+    p.add_argument("--sampler", choices=[EVEN, UNIFORM], help="pair sampling algorithm")
+    p.add_argument("--encoder", choices=[POINTNET_LITE, EDGECONV_LITE], help="point encoder")
     p.add_argument("--dim", type=int, help="feature width")
     p.add_argument("--n-points", type=int, help="points per observation after resampling")
     p.add_argument("--layers", type=int, help="cross-attention layers")
     p.add_argument("--early-stop-accuracy", type=float,
                    help="stop once running batch accuracy reaches this level")
-    p.add_argument("--deterministic", action="store_true",
-                   help="single-threaded fully reproducible mode")
     p.set_defaults(func=_cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a model on an eval set")

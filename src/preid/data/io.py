@@ -86,6 +86,11 @@ def read_dataset(directory) -> ReidDataset:
                     f"match n_points {rec['n_points']}"
                 )
             points = np.frombuffer(blob[off:off + length], dtype="<f4").reshape(-1, 3)
+            if not np.isfinite(points).all():
+                raise FormatError(
+                    f"{blob_path}: observation {rec['observation_id']} "
+                    f"({manifest_path.name} line {lineno}) has non-finite points"
+                )
             ds.add(Observation(
                 observation_id=rec["observation_id"],
                 object_id=rec["object_id"],
@@ -194,5 +199,11 @@ def read_frames(directory) -> dict[int, np.ndarray]:
             off, length = rec["offset"], rec["length"]
             if off + length > len(blob):
                 raise FormatError(f"frame {rec['frame']}: blob range exceeds frames.bin")
-            out[int(rec["frame"])] = np.frombuffer(blob[off:off + length], dtype="<f4").reshape(-1, 3).copy()
+            points = np.frombuffer(blob[off:off + length], dtype="<f4").reshape(-1, 3)
+            if not np.isfinite(points).all():
+                raise FormatError(
+                    f"{directory / 'frames.bin'}: frame {rec['frame']} "
+                    f"(frames.jsonl line {lineno}) has non-finite points"
+                )
+            out[int(rec["frame"])] = points.copy()
     return out

@@ -74,6 +74,8 @@ def load_checkpoint(path, encoder_cfg: EncoderConfig, rtmm_cfg: RtmmConfig,
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {shape}, config expects {target.data.shape}"
             )
+        if not np.isfinite(data).all():
+            raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
         target.data = data.astype(dtype).copy() if dtype != np.float32 else data.copy()
         seen.add(name)
     if off != len(blob):

@@ -79,15 +79,6 @@ class _Mlp:
         return x
 
 
-class _PointnetEncoder:
-    def __init__(self, params, cfg: EncoderConfig, rng, dtype):
-        widths = [cfg.in_dim] + list(cfg.hidden) + [cfg.out_dim]
-        self.mlp = _Mlp(params, "encoder", widths, rng, dtype)
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return self.mlp(x)
-
-
 class _EdgeconvEncoder:
     def __init__(self, params, cfg: EncoderConfig, rng, dtype):
         self.k = cfg.knn
@@ -135,8 +126,7 @@ class _CfaBlock:
         den = q @ nn.swapaxes(ksum, -1, -2)                   # (.., n1, 1)
         return self.out(num / nn.maximum_scalar(den, ATTN_EPS))
 
-    def __call__(self, f_q: Tensor, x_q: Tensor, f_kv: Tensor, x_kv: Tensor) -> Tensor:
-        # x_q is carried for interface fidelity; the block does not use it
+    def __call__(self, f_q: Tensor, f_kv: Tensor, x_kv: Tensor) -> Tensor:
         p = self.pos(x_kv)
         keys = f_kv + p
         attended = self.lca(f_q, keys, keys)
@@ -158,7 +148,8 @@ class ReidModel:
         self.params = nn.ParameterStore()
         rng = np.random.default_rng(seed)
         if encoder_cfg.kind == POINTNET_LITE:
-            self.encoder = _PointnetEncoder(self.params, encoder_cfg, rng, self.dtype)
+            widths = [encoder_cfg.in_dim] + list(encoder_cfg.hidden) + [encoder_cfg.out_dim]
+            self.encoder = _Mlp(self.params, "encoder", widths, rng, self.dtype)
         elif encoder_cfg.kind == EDGECONV_LITE:
             self.encoder = _EdgeconvEncoder(self.params, encoder_cfg, rng, self.dtype)
         else:
@@ -187,7 +178,7 @@ class ReidModel:
         for block in self.cfa:
             # simultaneous update from the previous layer's values; required
             # for exact symmetry of the construction
-            f1, f2 = block(f1, xa, f2, xb), block(f2, xb, f1, xa)
+            f1, f2 = block(f1, f2, xb), block(f2, f1, xa)
         joint = nn.concat([f1, f2], axis=-2)
         pooled = nn.pool_concat(joint)
         h = pooled + self.res_b(nn.relu(self.res_a(pooled)))

@@ -2,36 +2,31 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .tensor import Tensor
 
 
-@dataclass
-class Parameter:
-    """A named, trainable tensor. Names are hierarchical and unique per model."""
-
-    name: str
-    tensor: Tensor
-
-
 class ParameterStore:
-    """Ordered name -> Parameter map; lexicographic order is canonical."""
+    """Ordered name -> parameter tensor map; lexicographic order is canonical.
+
+    Names are hierarchical and unique per model. Parameters start frozen
+    (``requires_grad`` off), so inference records no tape; training turns
+    gradients on with :meth:`set_requires_grad`.
+    """
 
     def __init__(self):
-        self._params: dict[str, Parameter] = {}
+        self._params: dict[str, Tensor] = {}
 
-    def add(self, name: str, data: np.ndarray, requires_grad: bool = True) -> Tensor:
+    def add(self, name: str, data: np.ndarray) -> Tensor:
         if name in self._params:
             raise ValueError(f"duplicate parameter name: {name}")
-        t = Tensor(data, requires_grad=requires_grad)
-        self._params[name] = Parameter(name, t)
+        t = Tensor(data)
+        self._params[name] = t
         return t
 
     def __getitem__(self, name: str) -> Tensor:
-        return self._params[name].tensor
+        return self._params[name]
 
     def __contains__(self, name: str) -> bool:
         return name in self._params
@@ -44,7 +39,7 @@ class ParameterStore:
 
     def items(self):
         for name in self.names():
-            yield name, self._params[name].tensor
+            yield name, self._params[name]
 
     def n_values(self) -> int:
         return sum(t.data.size for _, t in self.items())

@@ -74,12 +74,6 @@ class Tensor:
     def item(self) -> float:
         return float(self.data)
 
-    def numpy(self) -> np.ndarray:
-        return self.data
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
-
     def backward(self, grad=None):
         """Reverse-mode sweep from this node; accumulates into leaf ``.grad``."""
         if grad is None:

@@ -73,15 +73,6 @@ class TrainReport:
     metrics_path: str
 
 
-def bce_loss(probs, labels) -> float:
-    """Mean binary cross-entropy on probabilities, clamped away from {0, 1}."""
-    x = np.clip(np.asarray(probs, dtype=np.float64), 1e-7, 1 - 1e-7)
-    y = np.asarray(labels, dtype=np.float64)
-    if x.shape != y.shape:
-        raise ValueError(f"probs shape {x.shape} != labels shape {y.shape}")
-    return float(-(y * np.log(x) + (1 - y) * np.log(1 - x)).mean())
-
-
 class AdamW:
     """Decoupled-weight-decay Adam over a parameter store."""
 
@@ -177,47 +168,49 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     loss_val = float("nan")
     acc_window: list[float] = []
     stopped = False
-    with atomic_write(metrics_path) as metrics:
-        for epoch in range(cfg.epochs):
-            pairs = sampler(ds, cfg.seed, epoch=epoch)
-            order = keyed_rng(cfg.seed, "order", epoch).permutation(len(pairs))
-            pairs = [pairs[i] for i in order]
-            for lo in range(0, len(pairs), cfg.batch_size):
-                batch = pairs[lo:lo + cfg.batch_size]
-                a, b, labels = _pack_batch(ds, batch, n_points, cfg.seed, epoch)
-                model.params.zero_grad()
-                logits = model.forward_logits(a, b)
-                loss = nn.bce_with_logits(logits, labels)
-                loss_val = loss.item()
-                if not math.isfinite(loss_val):
-                    raise TrainingError(
-                        f"non-finite loss at step {step}; last checkpoint kept at {ckpt_path}"
-                    )
-                loss.backward()
-                grad_norm = clip_gradients(model.params, cfg.clip_norm)
-                lr = lr_at(step, total_steps, cfg)
-                optimizer.step(lr)
-                preds = (logits.data >= 0).astype(np.float32)
-                acc = float((preds == labels).mean())
-                metrics.write(json.dumps({
-                    "step": step, "epoch": epoch,
-                    "loss": round(loss_val, 8), "lr": lr,
-                    "grad_norm": round(grad_norm, 8),
-                    "batch_accuracy": acc,
-                }) + "\n")
-                step += 1
-                acc_window = (acc_window + [acc])[-5:]
-                if (cfg.early_stop_accuracy is not None
-                        and len(acc_window) == 5
-                        and sum(acc_window) / 5 >= cfg.early_stop_accuracy):
-                    stopped = True
+    try:
+        with atomic_write(metrics_path) as metrics:
+            for epoch in range(cfg.epochs):
+                pairs = sampler(ds, cfg.seed, epoch=epoch)
+                order = keyed_rng(cfg.seed, "order", epoch).permutation(len(pairs))
+                pairs = [pairs[i] for i in order]
+                for lo in range(0, len(pairs), cfg.batch_size):
+                    batch = pairs[lo:lo + cfg.batch_size]
+                    a, b, labels = _pack_batch(ds, batch, n_points, cfg.seed, epoch)
+                    model.params.zero_grad()
+                    logits = model.forward_logits(a, b)
+                    loss = nn.bce_with_logits(logits, labels)
+                    loss_val = loss.item()
+                    if not math.isfinite(loss_val):
+                        raise TrainingError(
+                            f"non-finite loss at step {step}; last checkpoint kept at {ckpt_path}"
+                        )
+                    loss.backward()
+                    grad_norm = clip_gradients(model.params, cfg.clip_norm)
+                    lr = lr_at(step, total_steps, cfg)
+                    optimizer.step(lr)
+                    preds = (logits.data >= 0).astype(np.float32)
+                    acc = float((preds == labels).mean())
+                    metrics.write(json.dumps({
+                        "step": step, "epoch": epoch,
+                        "loss": round(loss_val, 8), "lr": lr,
+                        "grad_norm": round(grad_norm, 8),
+                        "batch_accuracy": acc,
+                    }) + "\n")
+                    step += 1
+                    acc_window = (acc_window + [acc])[-5:]
+                    if (cfg.early_stop_accuracy is not None
+                            and len(acc_window) == 5
+                            and sum(acc_window) / 5 >= cfg.early_stop_accuracy):
+                        stopped = True
+                        break
+                if stopped or (epoch + 1) % ckpt_every == 0:
+                    save_checkpoint(model, ckpt_path)
+                if stopped:
                     break
-            if stopped or (epoch + 1) % ckpt_every == 0:
-                save_checkpoint(model, ckpt_path)
-            if stopped:
-                break
-    save_checkpoint(model, ckpt_path)
-    model.params.set_requires_grad(False)
+        save_checkpoint(model, ckpt_path)
+    finally:
+        model.params.set_requires_grad(False)
     return TrainReport(
         steps=step,
         epochs=epoch + 1,

@@ -43,13 +43,3 @@ def keyed_rng(*keys) -> np.random.Generator:
     ints = [stable_hash(k) if isinstance(k, str) else int(k) & 0xFFFFFFFFFFFFFFFF for k in keys]
     return np.random.default_rng(np.random.SeedSequence(ints))
 
-
-def worker_count() -> int:
-    """Thread cap from PREID_THREADS, defaulting to the logical core count."""
-    env = os.environ.get("PREID_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return os.cpu_count() or 1

@@ -1,15 +1,40 @@
 """Command-line interface: subcommand round trips and the exit-code contract."""
 
+import dataclasses
 import hashlib
 import json
+import math
+import shutil
+import struct
 
 import pytest
 
+import preid.cli
 from preid.cli import main
+from preid.data import (
+    SynthConfig,
+    generate_synthetic,
+    write_detections,
+    write_frames,
+    write_gt,
+)
+from preid.model import EncoderConfig, RtmmConfig
+from preid.training import TrainConfig, TrainReport
+
+
+LOG_FILES = ("detections.jsonl", "gt.jsonl", "frames.bin", "frames.jsonl")
 
 
 def digest(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def write_nan(path, offset):
+    """Overwrite the 4 bytes at `offset` (negative counts from the end) with a NaN."""
+    blob = bytearray(path.read_bytes())
+    offset %= len(blob)
+    blob[offset:offset + 4] = struct.pack("<f", math.nan)
+    path.write_bytes(bytes(blob))
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +109,7 @@ class TestDeterminism:
                 "--frames", "3", "--lam", "16"]
         assert main(args + ["--out", str(tmp_path / "a")]) == 0
         assert main(args + ["--out", str(tmp_path / "b")]) == 0
-        for name in ("detections.jsonl", "gt.jsonl", "frames.bin", "frames.jsonl"):
+        for name in LOG_FILES:
             assert digest(tmp_path / "a" / name) == digest(tmp_path / "b" / name)
 
     def test_eval_bit_reproducible(self, pipeline, tmp_path):
@@ -129,6 +154,44 @@ class TestExitCodes:
                      "--config", str(cfg)]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("command, config, key", [
+        ("gen-synthetic", {"fram": 9, "frames": 2}, "fram"),
+        ("train", {"lr": 0.1, "epochs": 2}, "lr"),  # the key is lr_base; --lr is the flag
+    ])
+    def test_unknown_config_key_is_data_error(self, tmp_path, capsys, command, config, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        if command == "train":
+            args += ["--dataset", str(tmp_path / "missing")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert repr(key) in err and str(cfg) in err
+        assert not (tmp_path / "o").exists()
+
+    def test_nan_point_is_data_error(self, pipeline, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline / "ds", ds)
+        write_nan(ds / "points.bin", 0)
+        assert main(["inspect", "--dataset", str(ds)]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_nan_frame_point_is_data_error(self, pipeline, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        shutil.copytree(pipeline / "logs", logs)
+        write_nan(logs / "frames.bin", -4)
+        assert main(["build-dataset", "--logs", str(logs), "--out", str(tmp_path / "ds")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
+    def test_nan_weight_is_data_error(self, pipeline, tmp_path, capsys):
+        run = tmp_path / "run"
+        shutil.copytree(pipeline / "run", run)
+        write_nan(run / "model.ckpt", -4)
+        assert main(["eval", "--dataset", str(pipeline / "ds"), "--model", str(run),
+                     "--pairs", str(pipeline / "pairs.jsonl"),
+                     "--out", str(tmp_path / "report.json")]) == 2
+        assert "non-finite" in capsys.readouterr().err
+
 
 class TestFitPowerlaw:
     def test_table_fit_stdout(self, capsys):
@@ -161,3 +224,78 @@ class TestConfigOverrides:
         resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
         assert resolved["frames"] == 2      # flag wins
         assert resolved["lam"] == 12.0      # config supplies the rest
+
+    @pytest.mark.parametrize("preset, build", [
+        ("default", SynthConfig),
+        ("benchmark", SynthConfig.benchmark),
+        ("separable", SynthConfig.separable),
+    ])
+    def test_preset_resolves_to_library_preset(self, tmp_path, preset, build):
+        assert main(["gen-synthetic", "--out", str(tmp_path), "--preset", preset,
+                     "--seed", "7"]) == 0
+        resolved = json.loads((tmp_path / "resolved_config.json").read_text())
+        for key in ("command", "seed", "preset"):
+            del resolved[key]
+        assert resolved == dataclasses.asdict(build())
+
+    def test_benchmark_logs_match_library(self, tmp_path):
+        assert main(["gen-synthetic", "--out", str(tmp_path / "cli"),
+                     "--preset", "benchmark", "--seed", "7"]) == 0
+        detections, gt, frames = generate_synthetic(SynthConfig.benchmark(), 7)
+        lib = tmp_path / "lib"
+        write_detections(detections, lib / "detections.jsonl")
+        write_gt(gt, lib / "gt.jsonl")
+        write_frames(frames, lib)
+        for name in LOG_FILES:
+            assert (tmp_path / "cli" / name).read_bytes() == (lib / name).read_bytes()
+
+    def test_config_file_sets_fields_without_flags(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"sensor_noise": 0.5, "dim_spread": 0.3}))
+        assert main(["gen-synthetic", "--out", str(tmp_path / "o"), "--config", str(cfg),
+                     "--objects", "car=2", "--frames", "2"]) == 0
+        resolved = json.loads((tmp_path / "o" / "resolved_config.json").read_text())
+        assert resolved["sensor_noise"] == 0.5 and resolved["dim_spread"] == 0.3
+
+
+class TestTrainConfig:
+    @pytest.fixture
+    def fake_train(self, monkeypatch):
+        """Replace the training loop, recording the model and config it gets."""
+        seen = {}
+
+        def fake(model, ds, cfg, out_dir):
+            seen.update(model=model, cfg=cfg)
+            return TrainReport(0, 0, math.nan, math.nan, False, "", "")
+
+        monkeypatch.setattr(preid.cli, "train", fake)
+        return seen
+
+    def _resolved(self, run):
+        return json.loads((run / "resolved_config.json").read_text())
+
+    def test_flag_free_train_uses_library_defaults(self, pipeline, tmp_path, fake_train):
+        run = tmp_path / "run"
+        assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(run)]) == 0
+        model, cfg = fake_train["model"], fake_train["cfg"]
+        assert model.encoder_cfg == EncoderConfig() and model.rtmm_cfg == RtmmConfig()
+        assert cfg == TrainConfig()
+        resolved = self._resolved(run)
+        assert resolved["encoder"] == dataclasses.asdict(EncoderConfig())
+        assert resolved["rtmm"] == dataclasses.asdict(RtmmConfig())
+        assert resolved["train"] == dataclasses.asdict(TrainConfig())
+
+    def test_config_keys_and_flags(self, pipeline, tmp_path, fake_train):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({
+            "encoder": "edgeconv_lite", "dim": 8, "n_points": 16, "layers": 1,
+            "lr_base": 0.002, "weight_decay": 0.0, "clip_norm": 2.0,
+            "batch_size": 4, "epochs": 3, "sampler": "uniform",
+        }))
+        assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg), "--lr", "0.01", "--dim", "12", "--seed", "5"]) == 0
+        model, got = fake_train["model"], fake_train["cfg"]
+        assert model.encoder_cfg == EncoderConfig(kind="edgeconv_lite", out_dim=12, n_points=16)
+        assert model.rtmm_cfg == RtmmConfig(layers=1, dim=12)
+        assert got == TrainConfig(lr_base=0.01, weight_decay=0.0, clip_norm=2.0, batch_size=4,
+                                  epochs=3, sampler="uniform", seed=5)

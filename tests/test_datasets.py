@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -19,9 +20,11 @@ from preid.data import (
     generate_synthetic,
     read_dataset,
     read_detections,
+    read_frames,
     read_gt,
     write_dataset,
     write_detections,
+    write_frames,
     write_gt,
 )
 from preid.geometry import Box3D, iou_3d
@@ -211,6 +214,24 @@ class TestRoundTrips:
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(FormatError, match="obs6"):
             read_dataset(tmp_path / "ds")
+
+    def test_nan_point_names_observation(self, tmp_path):
+        write_dataset(self._make_ds(), tmp_path / "ds")
+        blob = tmp_path / "ds" / "points.bin"
+        data = bytearray(blob.read_bytes())
+        data[:4] = struct.pack("<f", math.nan)  # first coordinate of obs0
+        blob.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="obs0.*non-finite"):
+            read_dataset(tmp_path / "ds")
+
+    def test_inf_frame_point_names_frame(self, tmp_path):
+        write_frames({0: _points_at((0, 0, 0)), 1: _points_at((5, 5, 0))}, tmp_path)
+        blob = tmp_path / "frames.bin"
+        data = bytearray(blob.read_bytes())
+        data[-4:] = struct.pack("<f", math.inf)  # last coordinate of frame 1
+        blob.write_bytes(bytes(data))
+        with pytest.raises(FormatError, match="frame 1 .*non-finite"):
+            read_frames(tmp_path)
 
     def test_bad_manifest_json_reports_line(self, tmp_path):
         ds = self._make_ds()

@@ -1,5 +1,7 @@
 """Encoders, cross-attention block, matching head, checkpoints."""
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -138,8 +140,7 @@ class TestAttention:
         block.ln_out.bias.data[:] = 0
         rng = np.random.default_rng(6)
         f_q = rng.normal(size=(1, 6, 8))
-        out = block(Tensor(f_q), Tensor(rng.normal(size=(1, 6, 3))),
-                    Tensor(rng.normal(size=(1, 10, 8))),
+        out = block(Tensor(f_q), Tensor(rng.normal(size=(1, 10, 8))),
                     Tensor(rng.normal(size=(1, 10, 3)))).data
         np.testing.assert_allclose(out, f_q, atol=1e-12)
 
@@ -265,6 +266,26 @@ class TestCheckpoints:
         other = EncoderConfig(hidden=[32])
         with pytest.raises(CheckpointError, match="encoder.l0"):
             load_checkpoint(tmp_path / "m.ckpt", other, RtmmConfig())
+
+    def test_nonfinite_weight_names_parameter(self, tmp_path):
+        model = micro_model()
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        blob = bytearray((tmp_path / "m.ckpt").read_bytes())
+        blob[-4:] = struct.pack("<f", float("nan"))  # last value of the last parameter
+        (tmp_path / "m.ckpt").write_bytes(bytes(blob))
+        last = model.params.names()[-1]
+        with pytest.raises(CheckpointError, match=f"{last}.*non-finite"):
+            load_checkpoint(tmp_path / "m.ckpt", model.encoder_cfg, model.rtmm_cfg)
+
+    def test_inference_records_no_tape(self, tmp_path):
+        model = micro_model()
+        save_checkpoint(model, tmp_path / "m.ckpt")
+        loaded = load_checkpoint(tmp_path / "m.ckpt", model.encoder_cfg, model.rtmm_cfg)
+        rng = np.random.default_rng(13)
+        a, b = rng.normal(size=(2, 16, 3)), rng.normal(size=(2, 16, 3))
+        for m in (model, loaded):
+            logits = m.forward_logits(a, b)
+            assert logits._backward is None and logits._parents == ()
 
     def test_config_json_round_trip(self):
         enc = EncoderConfig(kind=EDGECONV_LITE, out_dim=32, n_points=64, knn=6)

@@ -15,7 +15,6 @@ from preid.training import (
     ScheduleConfig,
     TrainConfig,
     TrainingError,
-    bce_loss,
     clip_gradients,
     lr_at,
     train,
@@ -33,23 +32,6 @@ def small_model(seed=0):
         RtmmConfig(layers=1, dim=16, pos_hidden=[16], mlp_hidden=[16], res_hidden=16),
         seed=seed,
     )
-
-
-class TestBceLoss:
-    def test_uninformative_is_ln2(self):
-        assert bce_loss([0.5, 0.5], [1.0, 0.0]) == pytest.approx(math.log(2))
-
-    def test_known_value(self):
-        # -(ln 0.8 + ln 0.9) / 2 = 0.164252...
-        assert bce_loss([0.8, 0.1], [1.0, 0.0]) == pytest.approx(0.16425203, abs=1e-6)
-
-    def test_clamps_extremes(self):
-        v = bce_loss([1.0, 0.0], [0.0, 1.0])
-        assert math.isfinite(v) and v > 10
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            bce_loss([0.5], [1.0, 0.0])
 
 
 class TestAdamW:
@@ -198,6 +180,17 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=2, epochs=50, early_stop_accuracy=0.0, seed=0)
         report = train(model, ds, cfg, tmp_path / "run")
         assert report.stopped_early and report.steps == 5
+
+    def test_model_frozen_after_training(self, tmp_path):
+        ds = small_dataset()
+        model = small_model()
+        train(model, ds, TrainConfig(batch_size=8, epochs=1, seed=0), tmp_path / "ok")
+        assert not any(t.requires_grad for _, t in model.params.items())
+        # a NaN bias makes the first loss non-finite, which aborts training
+        model.params["rtmm.head.out.bias"].data[:] = np.nan
+        with pytest.raises(TrainingError):
+            train(model, ds, TrainConfig(batch_size=8, epochs=1, seed=0), tmp_path / "bad")
+        assert not any(t.requires_grad for _, t in model.params.items())
 
     def test_empty_dataset_rejected(self, tmp_path):
         from preid.data import ReidDataset
