@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import inspect
 import json
 import sys
 from pathlib import Path
@@ -123,6 +124,21 @@ def _configure(path, args, *targets) -> list:
         except TypeError as e:
             raise ConfigError(f"{path}: {e}") from e
     return out
+
+
+def _defaults(fn) -> dict:
+    """Keyword defaults of a library function, so that the parser shows and
+    passes the library's own values. Called at import, while the module's
+    names are still the library functions and not wrappers around them."""
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
+
+
+_EXTRACT_DEFAULTS = _defaults(extract_observations)
+_EVAL_SET_DEFAULTS = _defaults(build_eval_set)
+_EVALUATE_DEFAULTS = _defaults(evaluate)
+_PREDICT_DEFAULTS = _defaults(predict_pairs)
+_BENCH_DEFAULTS = _defaults(bench)
 
 
 def _parse_objects(text: str) -> dict[str, int]:
@@ -407,16 +423,21 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("build-dataset", help="extract observations from logs")
     p.add_argument("--logs", required=True, help="directory with detections.jsonl, gt.jsonl, frames.*")
     p.add_argument("--out", required=True, help="output dataset directory")
-    p.add_argument("--tau-c", type=float, default=0.1, help="detection score gate")
-    p.add_argument("--tau-iou", type=float, default=0.01, help="IoU gate for TP matching")
+    p.add_argument("--tau-c", type=float, default=_EXTRACT_DEFAULTS["tau_c"],
+                   help="detection score gate")
+    p.add_argument("--tau-iou", type=float, default=_EXTRACT_DEFAULTS["tau_iou"],
+                   help="IoU gate for TP matching")
     p.set_defaults(func=_cmd_build_dataset)
 
     p = sub.add_parser("make-eval-set", help="build a balanced density-matched eval set")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="output pairs.jsonl path")
-    p.add_argument("--max-pos", type=int, default=10, help="max positive pairs per object")
-    p.add_argument("--min-points", type=int, default=2, help="drop observations below this point count")
-    p.add_argument("--seed", type=int, default=0, help="sampling seed")
+    p.add_argument("--max-pos", type=int, default=_EVAL_SET_DEFAULTS["max_pos_per_object"],
+                   help="max positive pairs per object")
+    p.add_argument("--min-points", type=int, default=_EVAL_SET_DEFAULTS["min_points"],
+                   help="drop observations below this point count")
+    p.add_argument("--seed", type=int, default=_EVAL_SET_DEFAULTS["seed"],
+                   help="sampling seed")
     p.set_defaults(func=_cmd_make_eval_set)
 
     p = sub.add_parser("train", help="train a matching model")
@@ -444,8 +465,10 @@ def _build_parser() -> _Parser:
     p.add_argument("--model", required=True, help="training run directory")
     p.add_argument("--pairs", required=True, help="pairs.jsonl path")
     p.add_argument("--out", default="report.json", help="output report path")
-    p.add_argument("--threshold", type=float, default=0.5, help="match probability threshold")
-    p.add_argument("--seed", type=int, default=0, help="point-resampling seed")
+    p.add_argument("--threshold", type=float, default=_EVALUATE_DEFAULTS["threshold"],
+                   help="match probability threshold")
+    p.add_argument("--seed", type=int, default=_EVALUATE_DEFAULTS["seed"],
+                   help="point-resampling seed")
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser("curve", help="accuracy as a function of point density")
@@ -455,9 +478,11 @@ def _build_parser() -> _Parser:
     p.add_argument("--mode", choices=["both", "one"], default="both",
                    help="require both or at least one observation above the threshold")
     p.add_argument("--thresholds", default="2,4,8,16,32,64", help="comma list of point counts")
-    p.add_argument("--threshold", type=float, default=0.5, help="match probability threshold")
+    p.add_argument("--threshold", type=float, default=_PREDICT_DEFAULTS["threshold"],
+                   help="match probability threshold")
     p.add_argument("--out", default="curve.csv", help="output CSV path")
-    p.add_argument("--seed", type=int, default=0, help="point-resampling seed")
+    p.add_argument("--seed", type=int, default=_PREDICT_DEFAULTS["seed"],
+                   help="point-resampling seed")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("fit-powerlaw", help="fit err(x) = eps_inf + beta * x^c")
@@ -469,11 +494,15 @@ def _build_parser() -> _Parser:
 
     p = sub.add_parser("bench", help="inference throughput benchmark")
     p.add_argument("--model", help="training run directory (default: fresh random model)")
-    p.add_argument("--batch", type=int, default=512, help="pairs per batch")
-    p.add_argument("--trials", type=int, default=20, help="timed trials")
-    p.add_argument("--warmup", type=int, default=5, help="discarded warmup trials")
+    p.add_argument("--batch", type=int, default=_BENCH_DEFAULTS["batch_size"],
+                   help="pairs per batch")
+    p.add_argument("--trials", type=int, default=_BENCH_DEFAULTS["n_trials"],
+                   help="timed trials")
+    p.add_argument("--warmup", type=int, default=_BENCH_DEFAULTS["warmup"],
+                   help="discarded warmup trials")
     p.add_argument("--out", help="optional bench.json output path")
-    p.add_argument("--seed", type=int, default=0, help="input generation seed")
+    p.add_argument("--seed", type=int, default=_BENCH_DEFAULTS["seed"],
+                   help="input generation seed")
     p.set_defaults(func=_cmd_bench)
 
     p = sub.add_parser("inspect", help="print dataset statistics")

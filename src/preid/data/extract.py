@@ -5,9 +5,19 @@ keep matched detections as true positives, discard duplicates overlapping an
 already-claimed GT, keep the rest as false positives, then crop and
 canonicalize scene points using the *detected* box so detector noise is
 preserved in the observation.
+
+Each frame is indexed once: a stable argsort of its points' x coordinate.
+A detection's box lies inside the vertical cylinder of its circumscribed
+BEV radius, so only points within ``reach`` (that radius plus a small
+absolute margin) of the box center in x, found by binary search in the
+index, and then in y can lie inside it. Only those candidates, in their
+original order, reach the exact :func:`crop` test, so the kept points and
+their order are those of a crop of the whole frame.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -15,10 +25,17 @@ from ..geometry import Box3D, canonicalize, crop, hungarian, iou_3d
 from .records import DetectionRecord, GtTrackRecord, Observation, ReidDataset
 
 _FORBIDDEN_COST = 1e6
+# metres added to a box's circumscribed radius; crop's canonical coordinates
+# are off by a few ulps of the box size, far less than this
+_REACH_MARGIN = 1e-6
 
 
 class InputError(ValueError):
     """A referenced frame or record is missing or inconsistent."""
+
+
+def _bev_radius(box: Box3D) -> float:
+    return 0.5 * math.hypot(box.size[0], box.size[1])
 
 
 def _crop_canonical(points: np.ndarray, box: Box3D) -> np.ndarray:
@@ -51,16 +68,18 @@ def extract_observations(
             continue
         gts = by_frame_gt.get(frame, [])
         points = np.asarray(frame_points[frame], dtype=np.float64).reshape(-1, 3)
+        order = np.argsort(points[:, 0], kind="stable")
+        sorted_x = points[order, 0]
 
-        # boxes whose centers are farther apart than the sum of their
+        # boxes whose BEV centers are farther apart than the sum of their
         # circumscribed radii cannot overlap; skip the exact IoU for those
-        det_centers = np.array([d.box.center for _, d in dets])
-        gt_centers = np.array([g.box.center for g in gts]).reshape(-1, 3)
-        det_radii = np.array([np.linalg.norm(d.box.size) / 2 for _, d in dets])
-        gt_radii = np.array([np.linalg.norm(g.box.size) / 2 for g in gts])
+        det_xy = np.array([d.box.center[:2] for _, d in dets])
+        det_radii = np.array([_bev_radius(d.box) for _, d in dets])
         iou = np.zeros((len(dets), len(gts)))
         if gts:
-            dist = np.linalg.norm(det_centers[:, None] - gt_centers[None], axis=-1)
+            gt_xy = np.array([g.box.center[:2] for g in gts])
+            gt_radii = np.array([_bev_radius(g.box) for g in gts])
+            dist = np.linalg.norm(det_xy[:, None] - gt_xy[None], axis=-1)
             near = dist <= det_radii[:, None] + gt_radii[None]
             for r, c in zip(*np.nonzero(near)):
                 iou[r, c] = iou_3d(dets[r][1].box, gts[c].box)
@@ -71,18 +90,29 @@ def extract_observations(
             for r, c in hungarian(cost).pairs:
                 if iou[r, c] >= tau_iou:
                     assigned[r] = c
-        claimed = set(assigned.values())
+        # unmatched but overlapping a claimed GT: a duplicate true positive,
+        # discarded rather than demoted to FP
+        duplicate = (iou[:, list(assigned.values())] >= tau_iou).any(axis=1)
 
+        reach = det_radii + _REACH_MARGIN
+        lo = np.searchsorted(sorted_x, det_xy[:, 0] - reach, side="left")
+        hi = np.searchsorted(sorted_x, det_xy[:, 0] + reach, side="right")
         for r, (det_idx, det) in enumerate(dets):
             if r in assigned:
                 object_id = gts[assigned[r]].object_id
+            elif duplicate[r]:
+                continue
             else:
-                # unmatched but overlapping a claimed GT: a duplicate true
-                # positive, discarded rather than demoted to FP
-                if any(iou[r, c] >= tau_iou for c in claimed):
-                    continue
                 object_id = None
-            canon = _crop_canonical(points, det.box)
+            cand = np.sort(order[lo[r]:hi[r]])
+            cand = cand[np.abs(points[cand, 1] - det_xy[r, 1]) <= reach[r]]
+            if len(cand) == 1 and len(points) > 1:
+                # numpy multiplies a single row with gemv, which rounds
+                # differently from the gemm a whole frame gets and can flip
+                # crop's test for a point on a face; any second point lies
+                # outside the band, so outside the box, and keeps gemm
+                cand = np.append(cand, 1 if cand[0] == 0 else 0)
+            canon = _crop_canonical(points[cand], det.box)
             if len(canon) == 0:
                 continue
             ds.add(Observation(

@@ -25,6 +25,47 @@ from .records import DetectionRecord, FormatError, GtTrackRecord, Observation, R
 _POINT_BYTES = 12  # 3 * float32
 
 
+# key -> accepted JSON types of a manifest / frame-index record
+_MANIFEST_KEYS = {
+    "observation_id": str, "object_id": (str, type(None)), "predicted_class": str,
+    "frame": int, "n_points": int, "detector_score": (int, float),
+    "offset": int, "length": int,
+}
+_FRAME_KEYS = {"frame": int, "offset": int, "length": int}
+
+
+def _record(line: str, keys: dict, where: str) -> dict:
+    """A JSON object holding every key of ``keys`` with a value of its types."""
+    try:
+        rec = json.loads(line)
+    except json.JSONDecodeError as e:
+        raise FormatError(f"{where}: bad JSON ({e})") from e
+    if not isinstance(rec, dict):
+        raise FormatError(f"{where}: record is not a JSON object")
+    for key, types in keys.items():
+        if key not in rec:
+            raise FormatError(f"{where}: missing key {key!r}")
+        if not isinstance(rec[key], types) or isinstance(rec[key], bool):
+            raise FormatError(f"{where}: key {key!r} has wrong type "
+                              f"{type(rec[key]).__name__}")
+    return rec
+
+
+def _blob_points(blob: bytes, blob_path: Path, rec: dict, where: str, what: str) -> np.ndarray:
+    """The finite float32 xyz triples at the record's byte range of the blob."""
+    off, length = rec["offset"], rec["length"]
+    if off < 0 or length < 0 or off + length > len(blob):
+        raise FormatError(f"{where}: {what}: byte range [{off}, {off + length}) "
+                          f"is outside {blob_path.name} ({len(blob)} bytes)")
+    if length % _POINT_BYTES:
+        raise FormatError(f"{where}: {what}: length {length} is not a multiple "
+                          f"of {_POINT_BYTES} bytes")
+    points = np.frombuffer(blob[off:off + length], dtype="<f4").reshape(-1, 3)
+    if not np.isfinite(points).all():
+        raise FormatError(f"{blob_path}: {what} ({where}) has non-finite points")
+    return points.copy()
+
+
 def _box_to_json(box: Box3D) -> dict:
     return {"center": list(box.center), "size": list(box.size), "yaw": box.yaw}
 
@@ -70,33 +111,18 @@ def read_dataset(directory) -> ReidDataset:
             line = line.strip()
             if not line:
                 continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise FormatError(f"{manifest_path}:{lineno}: bad JSON ({e})") from e
-            off, length = rec["offset"], rec["length"]
-            if off < 0 or off + length > len(blob):
-                raise FormatError(
-                    f"observation {rec['observation_id']}: blob range "
-                    f"[{off}, {off + length}) exceeds points.bin size {len(blob)}"
-                )
-            if length != rec["n_points"] * _POINT_BYTES:
-                raise FormatError(
-                    f"observation {rec['observation_id']}: length {length} does not "
-                    f"match n_points {rec['n_points']}"
-                )
-            points = np.frombuffer(blob[off:off + length], dtype="<f4").reshape(-1, 3)
-            if not np.isfinite(points).all():
-                raise FormatError(
-                    f"{blob_path}: observation {rec['observation_id']} "
-                    f"({manifest_path.name} line {lineno}) has non-finite points"
-                )
+            where = f"{manifest_path}:{lineno}"
+            rec = _record(line, _MANIFEST_KEYS, where)
+            what = f"observation {rec['observation_id']}"
+            if rec["length"] != rec["n_points"] * _POINT_BYTES:
+                raise FormatError(f"{where}: {what}: length {rec['length']} does not "
+                                  f"match n_points {rec['n_points']}")
             ds.add(Observation(
                 observation_id=rec["observation_id"],
                 object_id=rec["object_id"],
                 predicted_class=rec["predicted_class"],
                 frame=rec["frame"],
-                points=points.copy(),
+                points=_blob_points(blob, blob_path, rec, where, what),
                 detector_score=rec["detector_score"],
             ))
     return ds
@@ -188,22 +214,18 @@ def write_frames(frame_points: dict[int, np.ndarray], directory) -> None:
 
 def read_frames(directory) -> dict[int, np.ndarray]:
     directory = Path(directory)
-    blob = (directory / "frames.bin").read_bytes()
+    index_path, blob_path = directory / "frames.jsonl", directory / "frames.bin"
+    blob = blob_path.read_bytes()
     out = {}
-    with open(directory / "frames.jsonl") as f:
+    with open(index_path) as f:
         for lineno, line in enumerate(f, 1):
             line = line.strip()
             if not line:
                 continue
-            rec = json.loads(line)
-            off, length = rec["offset"], rec["length"]
-            if off + length > len(blob):
-                raise FormatError(f"frame {rec['frame']}: blob range exceeds frames.bin")
-            points = np.frombuffer(blob[off:off + length], dtype="<f4").reshape(-1, 3)
-            if not np.isfinite(points).all():
-                raise FormatError(
-                    f"{directory / 'frames.bin'}: frame {rec['frame']} "
-                    f"(frames.jsonl line {lineno}) has non-finite points"
-                )
-            out[int(rec["frame"])] = points.copy()
+            where = f"{index_path}:{lineno}"
+            rec = _record(line, _FRAME_KEYS, where)
+            what = f"frame {rec['frame']}"
+            if rec["frame"] in out:
+                raise FormatError(f"{where}: duplicate {what}")
+            out[rec["frame"]] = _blob_points(blob, blob_path, rec, where, what)
     return out

@@ -54,42 +54,43 @@ class Assignment:
     total_cost: float
 
 
-def _clip_polygon(subject: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Clip a polygon by the half-plane left of the directed edge a->b."""
-    if len(subject) == 0:
-        return subject
-    edge = b - a
-    rel = subject - a
-    d = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
+def _clip_polygon(subject: list, a: list, b: list) -> list:
+    """Clip a polygon, a list of (x, y) vertices, by the half-plane left of
+    the directed edge a->b."""
+    ax, ay = a
+    ex, ey = b[0] - ax, b[1] - ay
+    d = [ex * (y - ay) - ey * (x - ax) for x, y in subject]
     out = []
     n = len(subject)
-    for i in range(n):
+    for i, (x, y) in enumerate(subject):
         j = (i + 1) % n
         if d[i] >= 0:
-            out.append(subject[i])
-            if d[j] < 0:
-                t = d[i] / (d[i] - d[j])
-                out.append(subject[i] + t * (subject[j] - subject[i]))
-        elif d[j] >= 0:
+            out.append((x, y))
+        if (d[i] >= 0) != (d[j] >= 0):
             t = d[i] / (d[i] - d[j])
-            out.append(subject[i] + t * (subject[j] - subject[i]))
-    return np.asarray(out) if out else np.empty((0, 2))
+            xj, yj = subject[j]
+            out.append((x + t * (xj - x), y + t * (yj - y)))
+    return out
 
 
-def _polygon_area(poly: np.ndarray) -> float:
+def _polygon_area(poly: list) -> float:
     if len(poly) < 3:
         return 0.0
-    x, y = poly[:, 0], poly[:, 1]
-    return 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    twice = 0.0
+    x0, y0 = poly[-1]
+    for x1, y1 in poly:
+        twice += x0 * y1 - x1 * y0
+        x0, y0 = x1, y1
+    return 0.5 * abs(twice)
 
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Oriented 3D IoU in [0, 1]; shared-face contact counts as 0."""
-    poly = a.bev_corners()
-    clip = b.bev_corners()
+    poly = a.bev_corners().tolist()
+    clip = b.bev_corners().tolist()
     for i in range(4):
         poly = _clip_polygon(poly, clip[i], clip[(i + 1) % 4])
-        if len(poly) == 0:
+        if not poly:
             return 0.0
     bev_inter = _polygon_area(poly)
     za0, za1 = a.center[2] - a.size[2] / 2, a.center[2] + a.size[2] / 2

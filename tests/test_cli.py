@@ -2,6 +2,7 @@
 
 import dataclasses
 import hashlib
+import inspect
 import json
 import math
 import shutil
@@ -13,12 +14,15 @@ import preid.cli
 from preid.cli import main
 from preid.data import (
     SynthConfig,
+    extract_observations,
     generate_synthetic,
     write_detections,
     write_frames,
     write_gt,
 )
+from preid.evaluation import bench, evaluate, predict_pairs
 from preid.model import EncoderConfig, RtmmConfig
+from preid.sampling import build_eval_set
 from preid.training import TrainConfig, TrainReport
 
 
@@ -35,6 +39,29 @@ def write_nan(path, offset):
     offset %= len(blob)
     blob[offset:offset + 4] = struct.pack("<f", math.nan)
     path.write_bytes(bytes(blob))
+
+
+def edit_record(path, lineno, edit):
+    """Replace line `lineno` of a JSONL file by edit(record): a dict or raw text."""
+    lines = path.read_text().splitlines()
+    new = edit(json.loads(lines[lineno - 1]))
+    lines[lineno - 1] = new if isinstance(new, str) else json.dumps(new)
+    path.write_text("\n".join(lines) + "\n")
+
+
+# ways to break one manifest / frame-index record
+MALFORMED_RECORDS = {
+    "missing key": lambda rec: {k: v for k, v in rec.items() if k != "offset"},
+    "wrong type": lambda rec: {**rec, "length": str(rec["length"])},
+    "bad JSON": lambda rec: '{"offset": 0,',
+    "negative offset": lambda rec: {**rec, "offset": -12},
+    "partial point": lambda rec: {**rec, "length": rec["length"] - 4},
+}
+
+
+def signature_defaults(fn):
+    return {name: p.default for name, p in inspect.signature(fn).parameters.items()
+            if p.default is not inspect.Parameter.empty}
 
 
 @pytest.fixture(scope="module")
@@ -191,6 +218,60 @@ class TestExitCodes:
                      "--pairs", str(pipeline / "pairs.jsonl"),
                      "--out", str(tmp_path / "report.json")]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+
+    @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+    def test_malformed_manifest_record_is_data_error(self, pipeline, tmp_path, capsys, case):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline / "ds", ds)
+        edit_record(ds / "manifest.jsonl", 2, MALFORMED_RECORDS[case])
+        assert main(["inspect", "--dataset", str(ds)]) == 2
+        assert f"{ds / 'manifest.jsonl'}:2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))
+    def test_malformed_frame_record_is_data_error(self, pipeline, tmp_path, capsys, case):
+        logs = tmp_path / "logs"
+        shutil.copytree(pipeline / "logs", logs)
+        edit_record(logs / "frames.jsonl", 2, MALFORMED_RECORDS[case])
+        assert main(["build-dataset", "--logs", str(logs), "--out", str(tmp_path / "ds")]) == 2
+        assert f"{logs / 'frames.jsonl'}:2" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
+
+class TestLibraryDefaults:
+    def test_flag_free_build_dataset_uses_extraction_defaults(self, pipeline, tmp_path,
+                                                               monkeypatch):
+        seen = {}
+
+        def spy(*args, **kwargs):
+            seen.update(kwargs)
+            return extract_observations(*args, **kwargs)
+
+        monkeypatch.setattr(preid.cli, "extract_observations", spy)
+        out = tmp_path / "ds"
+        assert main(["build-dataset", "--logs", str(pipeline / "logs"), "--out", str(out)]) == 0
+        defaults = signature_defaults(extract_observations)
+        assert seen == defaults
+        resolved = json.loads((out / "resolved_config.json").read_text())
+        assert {key: resolved[key] for key in defaults} == defaults
+
+    @pytest.mark.parametrize("argv, fn, dests", [
+        (["build-dataset", "--logs", "l", "--out", "o"], extract_observations,
+         {"tau_c": "tau_c", "tau_iou": "tau_iou"}),
+        (["make-eval-set", "--dataset", "d", "--out", "o"], build_eval_set,
+         {"max_pos": "max_pos_per_object", "min_points": "min_points", "seed": "seed"}),
+        (["eval", "--dataset", "d", "--model", "m", "--pairs", "p"], evaluate,
+         {"threshold": "threshold", "seed": "seed"}),
+        (["curve", "--dataset", "d", "--model", "m", "--pairs", "p"], predict_pairs,
+         {"threshold": "threshold", "seed": "seed"}),
+        (["bench"], bench,
+         {"batch": "batch_size", "trials": "n_trials", "warmup": "warmup", "seed": "seed"}),
+    ])
+    def test_flag_defaults_are_the_library_defaults(self, argv, fn, dests):
+        args = preid.cli._build_parser().parse_args(argv)
+        defaults = signature_defaults(fn)
+        assert {dest: getattr(args, dest) for dest in dests} == \
+            {dest: defaults[param] for dest, param in dests.items()}
 
 
 class TestFitPowerlaw:

@@ -6,6 +6,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from preid.data import (
     ConfigError,
@@ -27,7 +29,8 @@ from preid.data import (
     write_frames,
     write_gt,
 )
-from preid.geometry import Box3D, iou_3d
+from preid.data.extract import _REACH_MARGIN
+from preid.geometry import Box3D, canonicalize, crop, iou_3d, uncanonicalize
 
 
 def _det(frame, center, cls="car", score=0.9, size=(4.0, 2.0, 1.5), yaw=0.0):
@@ -125,6 +128,105 @@ class TestExtraction:
                     # only droppable for emptiness, never for identity
                     assert _crop_empty(dets[det_idx], pts[0]), f"scene {scene}"
             assert set(got) <= set(expected)
+
+
+def _full_frame_reference(dets, frame_points, tau_c=0.1):
+    """(observation_id, points) of every gated detection without GT, each
+    cropped from its whole frame and canonicalized, in extraction order."""
+    out = []
+    for i, det in sorted(enumerate(dets), key=lambda t: (t[1].frame, t[0])):
+        if det.score <= tau_c:
+            continue
+        pts = np.asarray(frame_points[det.frame], dtype=np.float64).reshape(-1, 3)
+        kept = crop(pts, det.box)
+        if len(kept):
+            out.append((f"f{det.frame:06d}-d{i:05d}",
+                        canonicalize(kept, det.box).astype(np.float32)))
+    return out
+
+
+def _assert_matches_full_frame(dets, frame_points):
+    ds = extract_observations(dets, [], frame_points)
+    ref = _full_frame_reference(dets, frame_points)
+    assert [o.observation_id for o in ds.observations] == [obs_id for obs_id, _ in ref]
+    for obs, (_, points) in zip(ds.observations, ref):
+        assert obs.points.dtype == points.dtype and obs.points.shape == points.shape
+        assert obs.points.tobytes() == points.tobytes()
+
+
+_yaws = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 4]),
+                  st.floats(-math.pi, math.pi))
+_boxes = st.builds(Box3D,
+                   st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-1, 1)),
+                   st.tuples(*[st.floats(0.05, 4.0)] * 3), _yaws)
+_face_signs = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])] * 3)
+
+
+@st.composite
+def _scenes(draw):
+    """Frames of scattered points plus, per detection, points on its faces,
+    edges and corners and on its reach circle; some frames are empty, some
+    detections are far from every point or below the score gate."""
+    dets, frame_points = [], {}
+    for frame in range(draw(st.integers(1, 3))):
+        boxes = draw(st.lists(_boxes, max_size=4))
+        if draw(st.booleans()):
+            boxes.append(Box3D((100.0, -100.0, 0.0), (4.0, 2.0, 1.5), 0.3))
+        pts = draw(st.lists(st.tuples(st.floats(-12, 12), st.floats(-12, 12),
+                                      st.floats(-3, 3)), max_size=30))
+        for box in boxes:
+            signs = draw(st.lists(_face_signs, max_size=6))
+            if signs:
+                pts += uncanonicalize(np.array(signs) * np.array(box.size) / 2, box).tolist()
+            reach = 0.5 * math.hypot(box.size[0], box.size[1]) + _REACH_MARGIN
+            cx, cy, cz = box.center
+            for angle in draw(st.lists(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 2])
+                                       | st.floats(-math.pi, math.pi), max_size=4)):
+                pts.append((cx + reach * math.cos(angle), cy + reach * math.sin(angle), cz))
+        if frame == 0 and draw(st.booleans()):
+            pts = []  # an empty frame
+        dtype = draw(st.sampled_from([np.float32, np.float64]))
+        arr = np.array(pts, dtype=dtype).reshape(-1, 3)
+        frame_points[frame] = arr[draw(st.permutations(range(len(arr))))]
+        dets += [DetectionRecord(frame, box, draw(st.sampled_from([0.9, 0.05])), "car")
+                 for box in boxes]
+    return dets, frame_points
+
+
+class TestIndexedExtraction:
+    """The frame index must keep exactly the points a whole-frame crop keeps."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_scenes())
+    def test_matches_full_frame_crop(self, scene):
+        _assert_matches_full_frame(*scene)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_boxes, st.tuples(*[st.sampled_from([-1.0, 1.0])] * 3))
+    def test_lone_corner_candidate(self, box, signs):
+        # the only candidate lies on the box's faces; the frame's other
+        # point is far away
+        corner = uncanonicalize(np.array(signs) * np.array(box.size) / 2, box)
+        _assert_matches_full_frame([DetectionRecord(0, box, 0.9, "car")],
+                                   {0: np.vstack([corner, [[100.0, 100.0, 0.0]]])})
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.tuples(st.floats(-10, 10), st.floats(-10, 10), st.floats(-1, 1)),
+           st.tuples(*[st.floats(0.05, 4.0)] * 3), st.integers(0, 3), st.booleans())
+    @example((0.0, 0.0, 0.0), (0.05, 0.42294907616183086, 1.0), 2, True)  # needs the margin
+    def test_corners_on_the_band_edges(self, center, size, quarter, flip):
+        # a diagonal along the x or y axis puts two corners at the box's
+        # circumscribed radius from its center, on the edge of a band
+        diagonal = math.atan2(size[1], size[0])
+        box = Box3D(center, size, quarter * math.pi / 2 + (diagonal if flip else -diagonal))
+        signs = np.array(list(itertools.product([-1.0, 1.0], repeat=3)))
+        corners = uncanonicalize(signs * np.array(size) / 2, box)
+        _assert_matches_full_frame([DetectionRecord(0, box, 0.9, "car")], {0: corners})
+
+    def test_benchmark_scene_matches_full_frame_crop(self):
+        cfg = SynthConfig(n_objects={"car": 4, "pedestrian": 4}, frames=3, fp_rate=2.0)
+        dets, _, frame_points = generate_synthetic(cfg, seed=2)
+        _assert_matches_full_frame(dets, frame_points)
 
 
 def _crop_empty(det, points):
@@ -231,6 +333,13 @@ class TestRoundTrips:
         data[-4:] = struct.pack("<f", math.inf)  # last coordinate of frame 1
         blob.write_bytes(bytes(data))
         with pytest.raises(FormatError, match="frame 1 .*non-finite"):
+            read_frames(tmp_path)
+
+    def test_duplicate_frame_rejected(self, tmp_path):
+        write_frames({0: _points_at((0, 0, 0)), 1: _points_at((5, 5, 0))}, tmp_path)
+        index = tmp_path / "frames.jsonl"
+        index.write_text(index.read_text().replace('"frame": 1', '"frame": 0'))
+        with pytest.raises(FormatError, match="frames.jsonl:2: duplicate frame 0"):
             read_frames(tmp_path)
 
     def test_bad_manifest_json_reports_line(self, tmp_path):

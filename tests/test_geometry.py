@@ -138,6 +138,87 @@ class TestIou:
             assert iou_3d(a, b) == pytest.approx(mc_iou(a, b, 200_000, i), abs=2e-2)
 
 
+def _np_clip(subject, a, b):
+    """Reference Sutherland-Hodgman step on numpy arrays: keep the part of
+    the polygon left of the directed edge a->b."""
+    if len(subject) == 0:
+        return subject
+    edge = b - a
+    rel = subject - a
+    d = edge[0] * rel[:, 1] - edge[1] * rel[:, 0]
+    out = []
+    for i in range(len(subject)):
+        j = (i + 1) % len(subject)
+        if d[i] >= 0:
+            out.append(subject[i])
+        if (d[i] >= 0) != (d[j] >= 0):
+            out.append(subject[i] + d[i] / (d[i] - d[j]) * (subject[j] - subject[i]))
+    return np.asarray(out).reshape(-1, 2)
+
+
+def np_iou(a: Box3D, b: Box3D) -> float:
+    """Reference IoU: numpy polygon clipping and a shoelace area."""
+    poly, clip = a.bev_corners(), b.bev_corners()
+    for i in range(4):
+        poly = _np_clip(poly, clip[i], clip[(i + 1) % 4])
+    area = 0.0
+    if len(poly) >= 3:
+        x, y = poly[:, 0], poly[:, 1]
+        area = 0.5 * abs(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+    lo = max(a.center[2] - a.size[2] / 2, b.center[2] - b.size[2] / 2)
+    hi = min(a.center[2] + a.size[2] / 2, b.center[2] + b.size[2] / 2)
+    if hi <= lo or area <= 0:
+        return 0.0
+    inter = area * (hi - lo)
+    return inter / (a.volume + b.volume - inter)
+
+
+def _pair(rng, kind):
+    a = _random_box(rng)
+    l, w, h = a.size
+    c, s = math.cos(a.yaw), math.sin(a.yaw)
+    x, y, z = a.center
+    if kind == "disjoint":
+        d = rng.uniform(8, 20)
+        theta = rng.uniform(-math.pi, math.pi)
+        b = Box3D((x + d * math.cos(theta), y + d * math.sin(theta), z),
+                  tuple(rng.uniform(0.5, 3.0, size=3)), float(rng.uniform(-math.pi, math.pi)))
+    elif kind == "touching":
+        # same yaw and cross-section, placed end to end along the heading
+        lb = rng.uniform(0.5, 3.0)
+        d = (l + lb) / 2
+        b = Box3D((x + d * c, y + d * s, z), (lb, w, h), a.yaw)
+    elif kind == "nested":
+        # the inner box's circumscribed circle fits in the outer footprint
+        r = min(l, w) / 2 * rng.uniform(0.1, 0.9)
+        phi = rng.uniform(0, math.pi / 2)
+        b = Box3D(a.center, (2 * r * math.cos(phi), 2 * r * math.sin(phi) + 1e-3, h / 2),
+                  float(rng.uniform(-math.pi, math.pi)))
+    else:
+        b = _random_box(rng, near=a)
+    return a, b
+
+
+class TestIouReference:
+    @pytest.mark.parametrize("kind", ["disjoint", "touching", "nested", "rotated"])
+    def test_matches_numpy_reference(self, kind):
+        rng = np.random.default_rng(["disjoint", "touching", "nested", "rotated"].index(kind))
+        for _ in range(500):
+            a, b = _pair(rng, kind)
+            for x, y in ((a, b), (b, a)):
+                assert abs(iou_3d(x, y) - np_iou(x, y)) <= 1e-12
+
+    def test_kinds_cover_their_cases(self):
+        rng = np.random.default_rng(0)
+        for _ in range(100):
+            assert iou_3d(*_pair(rng, "disjoint")) == 0.0
+            assert iou_3d(*_pair(rng, "touching")) <= 1e-12
+            a, b = _pair(rng, "nested")
+            assert iou_3d(a, b) == pytest.approx(b.volume / a.volume, rel=1e-9)
+        overlapping = [0.0 < iou_3d(*_pair(rng, "rotated")) < 1.0 for _ in range(100)]
+        assert sum(overlapping) >= 30
+
+
 def _random_box(rng, near=None):
     if near is None:
         center = rng.uniform(-2, 2, size=3)
