@@ -187,6 +187,12 @@ class BenchReport:
 
 def bench(model: ReidModel, batch_size: int = 512, n_trials: int = 20,
           warmup: int = 5, seed: int = 0) -> BenchReport:
+    if batch_size < 1:
+        raise ValueError(f"bench batch_size must be at least 1, got {batch_size}")
+    if n_trials < 1:
+        raise ValueError(f"bench n_trials must be at least 1, got {n_trials}")
+    if warmup < 0:
+        raise ValueError(f"bench warmup must not be negative, got {warmup}")
     rng = np.random.default_rng(seed)
     n = model.encoder_cfg.n_points
     pairs = [

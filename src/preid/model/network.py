@@ -18,6 +18,10 @@ from .config import EDGECONV_LITE, POINTNET_LITE, EncoderConfig, RtmmConfig
 
 LN_EPS = 1e-5
 ATTN_EPS = 1e-6
+# score_batch runs the matching head over slices of the batch whose widest
+# activation fits in this many bytes, so each op's temporaries stay near
+# cache size; chosen by the sub-batch sweep recorded in BENCH_4.json
+SCORE_SLICE_BYTES = 2 << 20
 
 
 def resample_points(points, n: int = 128, rng: np.random.Generator | None = None) -> np.ndarray:
@@ -49,7 +53,7 @@ class _Linear:
         self.b = params.add(f"{name}.bias", b)
 
     def __call__(self, x: Tensor) -> Tensor:
-        return x @ self.w + self.b
+        return nn.linear(x, self.w, self.b)
 
 
 class _LayerNorm:
@@ -117,9 +121,9 @@ class _CfaBlock:
     def lca(self, q_feat: Tensor, k_feat: Tensor, v_feat: Tensor) -> Tensor:
         if k_feat.shape[-2] == 0:
             raise nn.ShapeError("linear attention requires at least one key")
-        q = nn.elu_plus_one(q_feat @ self.wq)
-        k = nn.elu_plus_one(k_feat @ self.wk)
-        v = v_feat @ self.wv
+        q = nn.elu_plus_one(nn.linear(q_feat, self.wq))
+        k = nn.elu_plus_one(nn.linear(k_feat, self.wk))
+        v = nn.linear(v_feat, self.wv)
         kv = nn.swapaxes(k, -1, -2) @ v                       # (.., d, d)
         num = q @ kv                                          # (.., n1, d)
         ksum = nn.tsum(k, axis=-2, keepdims=True)             # (.., 1, d)
@@ -189,9 +193,20 @@ class ReidModel:
         logits = self.forward_logits(np.asarray(x1)[None], np.asarray(x2)[None])
         return float(logits.data[0])
 
+    def _score_slice(self) -> int:
+        """Pairs per score_batch slice: the byte budget over the bytes one
+        pair's widest activation takes (n_points x max width x itemsize)."""
+        enc, head = self.encoder_cfg, self.rtmm_cfg
+        rows = enc.n_points * (enc.knn if enc.kind == EDGECONV_LITE else 1)
+        width = max([*enc.hidden, enc.out_dim, *head.pos_hidden, *head.mlp_hidden, 2 * head.dim])
+        return max(1, SCORE_SLICE_BYTES // (rows * width * np.dtype(self.dtype).itemsize))
+
     def score_batch(self, pairs) -> list[float]:
         if not pairs:
             return []
         a = np.stack([np.asarray(p[0], dtype=self.dtype) for p in pairs])
         b = np.stack([np.asarray(p[1], dtype=self.dtype) for p in pairs])
-        return [float(v) for v in self.forward_logits(a, b).data]
+        step = self._score_slice()
+        logits = [self.forward_logits(a[lo:lo + step], b[lo:lo + step]).data
+                  for lo in range(0, len(a), step)]
+        return [float(v) for v in np.concatenate(logits)]

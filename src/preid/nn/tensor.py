@@ -162,9 +162,14 @@ def lift(x, dtype=DEFAULT_DTYPE) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
+def _taped(*parents: Tensor) -> bool:
+    """Whether an op on these inputs records a tape entry."""
+    return any(p.requires_grad or p._backward is not None for p in parents)
+
+
 def _from_op(data: np.ndarray, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad or p._backward is not None for p in parents):
+    if _taped(*parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -222,18 +227,93 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _from_op(data, (a, b), backward)
 
 
+def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
+    """``x @ w + b`` for x of shape (..., d_in) and a 2-D weight (d_in, d_out).
+
+    The forward flattens the leading axes into one GEMM and adds the bias in
+    place. The backward keeps the batched products of matmul (the weight
+    gradient summed over the leading axes), so training rounds exactly as
+    matmul plus add did.
+    """
+    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+        raise ShapeError(f"linear needs (..., d_in) x (d_in, d_out), got {x.shape} x {w.shape}")
+    lead, (d_in, d_out) = x.data.shape[:-1], w.data.shape
+    data = x.data.reshape(-1, d_in) @ w.data
+    if b is not None:
+        data += b.data
+    data = data.reshape(lead + (d_out,))
+
+    def backward(g):
+        # only inputs on the tape get a gradient: raw point coordinates need none
+        out = []
+        if _taped(x):
+            out.append((x, g @ w.data.T))
+        if _taped(w):
+            out.append((w, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, w.data.shape)))
+        if b is not None and _taped(b):
+            out.append((b, _unbroadcast(g, b.data.shape)))
+        return out
+
+    return _from_op(data, (x, w) if b is None else (x, w, b), backward)
+
+
+def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """Normalize the last dimension to mean 0 / variance 1, then affine.
+
+    One taped op. Forward and backward run the same float32 operations, in
+    the same order, as the mean / centre / variance / divide / affine chain
+    built from the primitives would, so scores and seeded training do not
+    change; only the intermediate tensors and tape nodes are gone.
+    """
+    if eps <= 0:
+        raise ValueError("layer_norm eps must be positive")
+    d = x.data.shape[-1]
+    if gain.data.size != d or bias.data.size != d:
+        raise ShapeError(f"layer_norm gain {gain.shape} and bias {bias.shape} need {d} values")
+    scale = 1.0 / d
+    mu = x.data.sum(axis=-1, keepdims=True)
+    mu *= scale
+    xc = x.data - mu
+    sigma = np.square(xc).sum(axis=-1, keepdims=True)
+    sigma *= scale
+    sigma += eps
+    np.sqrt(sigma, out=sigma)
+    # without a tape nothing is kept for backward, so every step runs in place
+    buf = None if _taped(x, gain, bias) else xc
+    xhat = np.divide(xc, sigma, out=buf)
+    data = np.multiply(xhat, gain.data, out=buf)
+    data += bias.data
+
+    def backward(g):
+        gy = g * gain.data
+        gsigma = (-gy * xc / (sigma * sigma)).sum(axis=-1, keepdims=True)
+        # the variance path reaches xc once through each factor of xc * xc;
+        # adding the two terms one at a time rounds as the tape did
+        t = (gsigma * (0.5 / sigma) * scale) * xc
+        gxc = gy / sigma
+        gxc += t
+        gxc += t
+        gx = gxc + (-gxc).sum(axis=-1, keepdims=True) * scale
+        return ((x, gx), (gain, _unbroadcast(g * xhat, gain.data.shape)),
+                (bias, _unbroadcast(g, bias.data.shape)))
+
+    return _from_op(data, (x, gain, bias), backward)
+
+
 def relu(x: Tensor) -> Tensor:
-    mask = x.data > 0
-    return _from_op(x.data * mask, (x,), lambda g: ((x, g * mask),))
+    return _from_op(np.maximum(x.data, 0), (x,), lambda g: ((x, g * (x.data > 0)),))
 
 
 def elu_plus_one(x: Tensor) -> Tensor:
-    """elu(x) + 1: x+1 for x >= 0, exp(x) otherwise. Strictly positive."""
-    pos = x.data >= 0
-    ex = np.exp(np.minimum(x.data, 0))
-    data = np.where(pos, x.data + 1, ex)
-    deriv = np.where(pos, np.ones((), dtype=x.dtype), ex)
-    return _from_op(data, (x,), lambda g: ((x, g * deriv),))
+    """elu(x) + 1: x+1 for x >= 0, exp(x) otherwise. Strictly positive.
+
+    ``exp(min(x, 0))`` is 1 for x >= 0, so it is also the derivative.
+    """
+    ex = np.minimum(x.data, 0)
+    np.exp(ex, out=ex)
+    data = np.maximum(x.data, 0)
+    data += ex
+    return _from_op(data, (x,), lambda g: ((x, g * ex),))
 
 
 def exp(x: Tensor) -> Tensor:
@@ -346,17 +426,6 @@ def _gather_index(indices: np.ndarray, axis: int, ndim: int):
 
 
 # -- composite layers ----------------------------------------------------
-
-
-def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last dimension to mean 0 / variance 1, then affine."""
-    if eps <= 0:
-        raise ValueError("layer_norm eps must be positive")
-    mu = tmean(x, axis=-1, keepdims=True)
-    xc = x - mu
-    var = tmean(xc * xc, axis=-1, keepdims=True)
-    y = xc / sqrt(var + eps)
-    return y * gain + bias
 
 
 def pool_concat(x: Tensor) -> Tensor:

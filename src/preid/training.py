@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -147,6 +148,10 @@ def _pack_batch(ds: ReidDataset, pairs, n_points: int, seed: int, epoch: int):
     return np.stack(a), np.stack(b), np.asarray(labels, dtype=np.float32)
 
 
+def _ms(seconds: float) -> float:
+    return round(seconds * 1e3, 3)
+
+
 def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> TrainReport:
     if len(ds) == 0 or not ds.index:
         raise ValueError("cannot train on an empty dataset")
@@ -163,20 +168,25 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     model.params.set_requires_grad(True)
     ckpt_path = out_dir / "model.ckpt"
     metrics_path = out_dir / "metrics.jsonl"
+    # wall times differ run to run, so they stay out of metrics.jsonl, which
+    # is bit-identical across seeded runs
+    timings_path = out_dir / "timings.jsonl"
 
     step = 0
     loss_val = float("nan")
     acc_window: list[float] = []
     stopped = False
     try:
-        with atomic_write(metrics_path) as metrics:
+        with atomic_write(metrics_path) as metrics, atomic_write(timings_path) as timings:
             for epoch in range(cfg.epochs):
                 pairs = sampler(ds, cfg.seed, epoch=epoch)
                 order = keyed_rng(cfg.seed, "order", epoch).permutation(len(pairs))
                 pairs = [pairs[i] for i in order]
                 for lo in range(0, len(pairs), cfg.batch_size):
                     batch = pairs[lo:lo + cfg.batch_size]
+                    t_pack = time.perf_counter()
                     a, b, labels = _pack_batch(ds, batch, n_points, cfg.seed, epoch)
+                    t_forward = time.perf_counter()
                     model.params.zero_grad()
                     logits = model.forward_logits(a, b)
                     loss = nn.bce_with_logits(logits, labels)
@@ -185,10 +195,13 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
                         raise TrainingError(
                             f"non-finite loss at step {step}; last checkpoint kept at {ckpt_path}"
                         )
+                    t_backward = time.perf_counter()
                     loss.backward()
+                    t_optimizer = time.perf_counter()
                     grad_norm = clip_gradients(model.params, cfg.clip_norm)
                     lr = lr_at(step, total_steps, cfg)
                     optimizer.step(lr)
+                    t_end = time.perf_counter()
                     preds = (logits.data >= 0).astype(np.float32)
                     acc = float((preds == labels).mean())
                     metrics.write(json.dumps({
@@ -196,6 +209,14 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
                         "loss": round(loss_val, 8), "lr": lr,
                         "grad_norm": round(grad_norm, 8),
                         "batch_accuracy": acc,
+                    }) + "\n")
+                    timings.write(json.dumps({
+                        "step": step,
+                        "pack_ms": _ms(t_forward - t_pack),
+                        "forward_ms": _ms(t_backward - t_forward),
+                        "backward_ms": _ms(t_optimizer - t_backward),
+                        "optimizer_ms": _ms(t_end - t_optimizer),
+                        "pairs_per_s": round(len(batch) / (t_end - t_pack), 3),
                     }) + "\n")
                     step += 1
                     acc_window = (acc_window + [acc])[-5:]

@@ -129,6 +129,15 @@ class TestPipeline:
         assert report["n_trials"] == 3 and len(report["samples_ms"]) == 3
         assert "pairs/sec" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--trials", "0"),
+                                            ("--warmup", "-1")])
+    def test_bench_degenerate_arguments_exit_2(self, capsys, tmp_path, flag, value):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--batch", "2", "--trials", "1", "--warmup", "0",
+                     flag, value, "--out", str(out)]) == 2
+        assert not out.exists()
+        assert "error:" in capsys.readouterr().err
+
 
 class TestDeterminism:
     def test_gen_synthetic_same_seed_identical(self, tmp_path):

@@ -207,3 +207,14 @@ class TestBench:
         expect_stderr = float(np.std(r.samples_ms, ddof=1) / np.sqrt(6))
         assert r.stderr_ms == pytest.approx(expect_stderr)
         assert r.pairs_per_sec == pytest.approx(8 / (r.mean_ms / 1e3))
+
+    @pytest.mark.parametrize("bad", [{"batch_size": 0}, {"n_trials": 0}, {"warmup": -1}])
+    def test_degenerate_arguments_rejected(self, bad):
+        args = {"batch_size": 2, "n_trials": 1, "warmup": 0, **bad}
+        with pytest.raises(ValueError, match=next(iter(bad))):
+            bench(tiny_model(), **args)
+
+    def test_no_warmup_keeps_every_trial(self):
+        r = bench(tiny_model(), batch_size=2, n_trials=2, warmup=0, seed=0)
+        assert r.n_trials == 2 and len(r.samples_ms) == 2
+        assert np.isfinite(r.mean_ms) and r.pairs_per_sec > 0

@@ -19,6 +19,7 @@ from preid.model import (
     resample_points,
     save_checkpoint,
 )
+from preid.model import network
 from preid.nn import Tensor
 
 
@@ -192,6 +193,33 @@ class TestSymmetryAndInvariance:
 
     def test_empty_batch(self):
         assert default_model().score_batch([]) == []
+
+    def test_sub_batches_equal_loop(self):
+        # larger than one slice and not a multiple of it, so the last slice is short
+        model = default_model(seed=1)
+        step = model._score_slice()
+        assert 1 < step < 512
+        rng = np.random.default_rng(14)
+        pairs = [(rng.normal(size=(128, 3)).astype(np.float32),
+                  rng.normal(size=(128, 3)).astype(np.float32)) for _ in range(2 * step + 3)]
+        batched = model.score_batch(pairs)
+        looped = [model.rtmm_score(a, b) for a, b in pairs]
+        np.testing.assert_allclose(batched, looped, atol=1e-5)
+        assert model.score_batch(pairs) == batched  # bit-identical call to call
+
+    def test_small_slice_budget(self, monkeypatch):
+        model = micro_model()
+        pair_bytes = 16 * 16 * 8  # n_points x widest activation (2 x dim) x float64
+        monkeypatch.setattr(network, "SCORE_SLICE_BYTES", 3 * pair_bytes)
+        assert model._score_slice() == 3
+        rng = np.random.default_rng(15)
+        pairs = [(rng.normal(size=(16, 3)), rng.normal(size=(16, 3))) for _ in range(10)]
+        batched = model.score_batch(pairs)
+        looped = [model.rtmm_score(a, b) for a, b in pairs]
+        np.testing.assert_allclose(batched, looped, rtol=0, atol=1e-12)
+        monkeypatch.setattr(network, "SCORE_SLICE_BYTES", 1)
+        assert model._score_slice() == 1
+        np.testing.assert_allclose(model.score_batch(pairs), looped, rtol=0, atol=1e-12)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):

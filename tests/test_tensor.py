@@ -105,6 +105,11 @@ class TestGradients:
         (lambda x: nn.reshape(x, (6, 2)), [(3, 4)]),
         (lambda x: nn.swapaxes(x, 0, 1), [(3, 4)]),
         (lambda x, g, b: nn.layer_norm(x, g, b), [(4, 8), (8,), (8,)]),
+        (lambda x, g, b: nn.layer_norm(x, g, b), [(2, 3, 6), (6,), (6,)]),
+        (lambda x, w: nn.linear(x, w), [(4, 3), (3, 5)]),
+        (lambda x, w, b: nn.linear(x, w, b), [(4, 3), (3, 5), (5,)]),
+        (lambda x, w: nn.linear(x, w), [(2, 4, 3), (3, 5)]),
+        (lambda x, w, b: nn.linear(x, w, b), [(2, 4, 3), (3, 5), (5,)]),
         (lambda x: nn.pool_concat(x), [(2, 5, 3)]),
     ])
     def test_op_gradcheck(self, op, shapes):
@@ -133,6 +138,83 @@ class TestGradients:
         y = x * x + x * 3.0    # dy/dx = 2x + 3 = 7
         y.backward()
         np.testing.assert_allclose(x.grad, [7.0])
+
+
+def composed_layer_norm(x, gain, bias, eps=1e-5):
+    """The 9-op layer norm that the fused primitive replaced."""
+    mu = nn.tmean(x, axis=-1, keepdims=True)
+    xc = x - mu
+    var = nn.tmean(xc * xc, axis=-1, keepdims=True)
+    y = xc / nn.sqrt(var + eps)
+    return y * gain + bias
+
+
+def where_elu_plus_one(x):
+    """The np.where form of elu(x) + 1 and its derivative that the fused op replaced."""
+    pos = x >= 0
+    ex = np.exp(np.minimum(x, 0))
+    return np.where(pos, x + 1, ex), np.where(pos, np.ones((), dtype=x.dtype), ex)
+
+
+class TestFusedOps:
+    @pytest.mark.parametrize("dtype,shape", [(np.float64, (3, 7, 16)), (np.float32, (63, 64, 32)),
+                                             (np.float32, (5, 7))])
+    def test_layer_norm_matches_composed_reference(self, dtype, shape):
+        # same float operations in the same order: equal bit for bit, which
+        # is within 1e-10 in float64 and keeps seeded float32 training as it was
+        rng = np.random.default_rng(2)
+        x = rng.normal(3.0, 2.0, size=shape).astype(dtype)
+        gain, bias = rng.normal(size=shape[-1:]).astype(dtype), rng.normal(size=shape[-1:]).astype(dtype)
+        g = rng.normal(size=shape).astype(dtype)
+        results = []
+        for ln in (nn.layer_norm, composed_layer_norm):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in (x, gain, bias)]
+            out = ln(*ts)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in ts])
+        for fused, ref in zip(*results):
+            np.testing.assert_array_equal(fused, ref)
+
+    @pytest.mark.parametrize("x_shape,w_shape", [((63, 64, 32), (32, 32)), ((16, 128, 128), (128, 64)),
+                                                 ((40, 64), (64, 8)), ((2, 8, 4, 64), (64, 32))])
+    def test_linear_matches_matmul_plus_bias(self, x_shape, w_shape):
+        rng = np.random.default_rng(4)
+        arrays = [rng.normal(size=x_shape).astype(np.float32),
+                  rng.normal(size=w_shape).astype(np.float32),
+                  rng.normal(size=w_shape[1:]).astype(np.float32)]
+        g = rng.normal(size=x_shape[:-1] + w_shape[1:]).astype(np.float32)
+        results = []
+        for op in (nn.linear, lambda x, w, b: x @ w + b):
+            ts = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = op(*ts)
+            out.backward(g)
+            results.append([out.data] + [t.grad for t in ts])
+        for fused, ref in zip(*results):
+            np.testing.assert_array_equal(fused, ref)
+        np.testing.assert_array_equal(nn.linear(Tensor(arrays[0]), Tensor(arrays[1])).data,
+                                      arrays[0] @ arrays[1])
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_elu_plus_one_bit_identical_to_where_form(self, dtype):
+        x = np.concatenate([np.linspace(-20, 20, 4001), [0.0, -0.0]]).astype(dtype)
+        t = Tensor(x, requires_grad=True, dtype=dtype)
+        out = nn.elu_plus_one(t)
+        g = np.random.default_rng(3).normal(size=x.shape).astype(dtype)
+        out.backward(g)
+        value, deriv = where_elu_plus_one(x)
+        assert out.data.tobytes() == value.tobytes()
+        assert t.grad.tobytes() == (g * deriv).tobytes()
+
+    def test_linear_shape_error(self):
+        with pytest.raises(ShapeError):
+            nn.linear(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 5))))
+
+    def test_frozen_inputs_record_no_tape(self):
+        x = Tensor(np.ones((2, 3, 4)))
+        outs = [nn.linear(x, Tensor(np.ones((4, 4))), Tensor(np.zeros(4))),
+                nn.layer_norm(x, Tensor(np.ones(4)), Tensor(np.zeros(4))),
+                nn.elu_plus_one(x), nn.relu(x)]
+        assert all(o._backward is None and o._parents == () for o in outs)
 
 
 class TestTapeRules:

@@ -164,6 +164,17 @@ class TestTrainLoop:
         assert (tmp_path / "a" / "model.ckpt").read_bytes() == \
             (tmp_path / "b" / "model.ckpt").read_bytes()
 
+    def test_step_timings(self, tmp_path):
+        ds = small_dataset(n_objects=10)
+        report = train(small_model(), ds, TrainConfig(batch_size=4, epochs=2, seed=0),
+                       tmp_path / "run")
+        rows = [json.loads(l) for l in (tmp_path / "run" / "timings.jsonl").read_text().splitlines()]
+        assert [r["step"] for r in rows] == list(range(report.steps))
+        for r in rows:
+            for key in ("pack_ms", "forward_ms", "backward_ms", "optimizer_ms", "pairs_per_s"):
+                assert math.isfinite(r[key]) and r[key] >= 0, (key, r)
+            assert r["pairs_per_s"] > 0
+
     def test_checkpoint_loadable(self, tmp_path):
         ds = small_dataset()
         model = small_model()
