@@ -274,27 +274,31 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     mu = x.data.sum(axis=-1, keepdims=True)
     mu *= scale
     xc = x.data - mu
-    sigma = np.square(xc).sum(axis=-1, keepdims=True)
+    xhat = np.square(xc)
+    sigma = xhat.sum(axis=-1, keepdims=True)
     sigma *= scale
     sigma += eps
     np.sqrt(sigma, out=sigma)
-    # without a tape nothing is kept for backward, so every step runs in place
-    buf = None if _taped(x, gain, bias) else xc
-    xhat = np.divide(xc, sigma, out=buf)
-    data = np.multiply(xhat, gain.data, out=buf)
+    np.divide(xc, sigma, out=xhat)
+    # without a tape xhat is not kept for backward, so the affine step reuses it
+    data = np.multiply(xhat, gain.data, out=None if _taped(x, gain, bias) else xhat)
     data += bias.data
 
     def backward(g):
+        # the composed chain's operations in its order, with negations moved
+        # onto the row sums (exact in IEEE arithmetic) and buffers reused
         gy = g * gain.data
-        gsigma = (-gy * xc / (sigma * sigma)).sum(axis=-1, keepdims=True)
+        tmp = gy * xc
+        tmp /= sigma * sigma
+        gsigma = -tmp.sum(axis=-1, keepdims=True)
         # the variance path reaches xc once through each factor of xc * xc;
         # adding the two terms one at a time rounds as the tape did
-        t = (gsigma * (0.5 / sigma) * scale) * xc
-        gxc = gy / sigma
-        gxc += t
-        gxc += t
-        gx = gxc + (-gxc).sum(axis=-1, keepdims=True) * scale
-        return ((x, gx), (gain, _unbroadcast(g * xhat, gain.data.shape)),
+        np.multiply(gsigma * (0.5 / sigma) * scale, xc, out=tmp)
+        gxc = np.divide(gy, sigma, out=gy)
+        gxc += tmp
+        gxc += tmp
+        gxc -= gxc.sum(axis=-1, keepdims=True) * scale
+        return ((x, gxc), (gain, _unbroadcast(np.multiply(g, xhat, out=tmp), gain.data.shape)),
                 (bias, _unbroadcast(g, bias.data.shape)))
 
     return _from_op(data, (x, gain, bias), backward)
