@@ -260,10 +260,10 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last dimension to mean 0 / variance 1, then affine.
 
-    One taped op. Forward and backward run the same float32 operations, in
-    the same order, as the mean / centre / variance / divide / affine chain
-    built from the primitives would, so scores and seeded training do not
-    change; only the intermediate tensors and tape nodes are gone.
+    One taped op whose forward and backward equal, bit for bit, those of the
+    mean / centre / variance / divide / affine chain built from the
+    primitives, so scores and seeded training do not change; only the
+    intermediate tensors and tape nodes are gone.
     """
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
