@@ -235,7 +235,7 @@ def linear(x: Tensor, w: Tensor, b: Tensor | None = None) -> Tensor:
     gradient summed over the leading axes), so training rounds exactly as
     matmul plus add did.
     """
-    if w.data.ndim != 2 or x.data.ndim < 1 or x.data.shape[-1] != w.data.shape[0]:
+    if w.data.ndim != 2 or x.data.shape[-1:] != w.data.shape[:1]:
         raise ShapeError(f"linear needs (..., d_in) x (d_in, d_out), got {x.shape} x {w.shape}")
     lead, (d_in, d_out) = x.data.shape[:-1], w.data.shape
     data = x.data.reshape(-1, d_in) @ w.data
@@ -267,10 +267,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """
     if eps <= 0:
         raise ValueError("layer_norm eps must be positive")
-    d = x.data.shape[-1]
-    if gain.data.size != d or bias.data.size != d:
-        raise ShapeError(f"layer_norm gain {gain.shape} and bias {bias.shape} need {d} values")
-    scale = 1.0 / d
+    scale = 1.0 / x.data.shape[-1]
     mu = x.data.sum(axis=-1, keepdims=True)
     mu *= scale
     xc = x.data - mu
