@@ -25,7 +25,6 @@ import numpy as np
 from .data import (
     ConfigError,
     FormatError,
-    InputError,
     SynthConfig,
     extract_observations,
     generate_synthetic,
@@ -51,7 +50,6 @@ from .evaluation import (
 from .model import (
     EDGECONV_LITE,
     POINTNET_LITE,
-    CheckpointError,
     EncoderConfig,
     ReidModel,
     RtmmConfig,
@@ -66,8 +64,8 @@ from .util import atomic_write
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
-_DATA_ERRORS = (FormatError, InputError, ConfigError, CheckpointError,
-                FileNotFoundError, NotADirectoryError)
+# FormatError, InputError, ConfigError and CheckpointError are ValueErrors
+_DATA_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -101,7 +99,7 @@ def _configure(path, args, *targets) -> list:
     if path is not None:
         try:
             config = json.loads(Path(path).read_text())
-        except json.JSONDecodeError as e:
+        except ValueError as e:  # also text that is not UTF-8
             raise FormatError(f"{path}: bad JSON config ({e})") from e
         if not isinstance(config, dict):
             raise FormatError(f"{path}: config must be a JSON object")
@@ -246,13 +244,12 @@ def _cmd_train(args) -> int:
 
 
 def _load_model(model_dir) -> ReidModel:
-    model_dir = Path(model_dir)
-    cfg_path = model_dir / "model_config.json"
-    ckpt_path = model_dir / "model.ckpt"
-    if not cfg_path.is_file() or not ckpt_path.is_file():
-        raise FileNotFoundError(f"{model_dir}: expected model.ckpt and model_config.json")
-    encoder_cfg, rtmm_cfg = config_from_json(cfg_path.read_text())
-    return load_checkpoint(ckpt_path, encoder_cfg, rtmm_cfg)
+    cfg_path = Path(model_dir) / "model_config.json"
+    try:
+        encoder_cfg, rtmm_cfg = config_from_json(cfg_path.read_text())
+    except ValueError as e:  # also bad JSON or text that is not UTF-8
+        raise FormatError(f"{cfg_path}: {e}") from e
+    return load_checkpoint(Path(model_dir) / "model.ckpt", encoder_cfg, rtmm_cfg)
 
 
 def _cmd_eval(args) -> int:
@@ -521,9 +518,6 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except _DATA_ERRORS as e:
-        print(f"error: {e}", file=sys.stderr)
-        return DATA_ERROR
-    except ValueError as e:
         print(f"error: {e}", file=sys.stderr)
         return DATA_ERROR
 

@@ -9,11 +9,15 @@ Input log layout (what a detector / labeling pipeline would emit):
     gt.jsonl           GtTrackRecord fields
     frames.jsonl       per-frame index {frame, offset, length} into frames.bin
     frames.bin         little-endian float32 xyz triples of raw scene points
+
+These JSONL files and the eval set's pairs.jsonl are all read by
+:func:`read_records` and written by :func:`write_records`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -25,30 +29,65 @@ from .records import DetectionRecord, FormatError, GtTrackRecord, Observation, R
 _POINT_BYTES = 12  # 3 * float32
 
 
-# key -> accepted JSON types of a manifest / frame-index record
+# key -> the exact types its parsed JSON value may have
 _MANIFEST_KEYS = {
-    "observation_id": str, "object_id": (str, type(None)), "predicted_class": str,
-    "frame": int, "n_points": int, "detector_score": (int, float),
-    "offset": int, "length": int,
+    "observation_id": (str,), "object_id": (str, type(None)), "predicted_class": (str,),
+    "frame": (int,), "n_points": (int,), "detector_score": (int, float),
+    "offset": (int,), "length": (int,),
 }
-_FRAME_KEYS = {"frame": int, "offset": int, "length": int}
+_FRAME_KEYS = {"frame": (int,), "offset": (int,), "length": (int,)}
+_DETECTION_KEYS = {"frame": (int,), "box": (dict,), "score": (int, float),
+                   "predicted_class": (str,)}
+_GT_KEYS = {"frame": (int,), "box": (dict,), "object_id": (str,), "class": (str,)}
 
 
-def _record(line: str, keys: dict, where: str) -> dict:
-    """A JSON object holding every key of ``keys`` with a value of its types."""
-    try:
-        rec = json.loads(line)
-    except json.JSONDecodeError as e:
-        raise FormatError(f"{where}: bad JSON ({e})") from e
-    if not isinstance(rec, dict):
-        raise FormatError(f"{where}: record is not a JSON object")
-    for key, types in keys.items():
-        if key not in rec:
-            raise FormatError(f"{where}: missing key {key!r}")
-        if not isinstance(rec[key], types) or isinstance(rec[key], bool):
-            raise FormatError(f"{where}: key {key!r} has wrong type "
-                              f"{type(rec[key]).__name__}")
-    return rec
+def read_records(path, keys: dict):
+    """Yield ``("path:line", record)`` for each non-blank line of a JSONL file:
+    a JSON object holding every key of ``keys`` with a value of exactly one of
+    its types (so a bool is not an int), and finite if it is a float."""
+    with open(path, "rb") as f:
+        for lineno, line in enumerate(f, 1):
+            if line.isspace():
+                continue
+            where = f"{path}:{lineno}"
+            try:
+                rec = json.loads(line.decode("utf-8"))
+            except ValueError as e:  # also a line that is not UTF-8
+                raise FormatError(f"{where}: bad JSON ({e})") from e
+            if type(rec) is not dict:
+                raise FormatError(f"{where}: record is not a JSON object")
+            for key, types in keys.items():
+                if key not in rec:
+                    raise FormatError(f"{where}: missing key {key!r}")
+                value = rec[key]
+                if type(value) not in types:
+                    raise FormatError(f"{where}: key {key!r} has wrong type "
+                                      f"{type(value).__name__}")
+                if type(value) is float and not math.isfinite(value):
+                    raise FormatError(f"{where}: key {key!r} is not finite ({value})")
+            yield where, rec
+
+
+def write_records(path, records) -> None:
+    """Write an iterable of dicts as JSONL, one object per line, atomically."""
+    with atomic_write(path) as f:
+        for rec in records:
+            f.write(json.dumps(rec) + "\n")
+
+
+def _write_indexed(directory, index_name: str, blob_name: str, rows) -> None:
+    """Write ``(record, points)`` rows as a blob of float32 xyz triples and a
+    JSONL index of the records, each given its points' ``offset`` and ``length``."""
+    directory = Path(directory)
+    with atomic_write(directory / blob_name, "wb") as blob:
+        def index():
+            offset = 0
+            for rec, points in rows:
+                raw = np.ascontiguousarray(points, dtype="<f4").tobytes()
+                blob.write(raw)
+                yield {**rec, "offset": offset, "length": len(raw)}
+                offset += len(raw)
+        write_records(directory / index_name, index())
 
 
 def _blob_points(blob: bytes, blob_path: Path, rec: dict, where: str, what: str) -> np.ndarray:
@@ -70,61 +109,51 @@ def _box_to_json(box: Box3D) -> dict:
     return {"center": list(box.center), "size": list(box.size), "yaw": box.yaw}
 
 
-def _box_from_json(obj: dict) -> Box3D:
-    return Box3D(tuple(obj["center"]), tuple(obj["size"]), float(obj["yaw"]))
+def _box_from_json(box: dict, where: str) -> Box3D:
+    """A box of 3 finite centre numbers, 3 finite positive sizes and a finite yaw."""
+    center, size, yaw = box.get("center"), box.get("size"), box.get("yaw")
+    try:
+        if (type(center) is list and type(size) is list and len(center) == len(size) == 3
+                and all(type(v) in (int, float) and math.isfinite(v)
+                        for v in (*center, *size, yaw))
+                and min(size) > 0):
+            return Box3D(tuple(center), tuple(size), float(yaw))
+    except OverflowError:  # an integer beyond the float64 range
+        pass
+    raise FormatError(f"{where}: box needs 3 finite centre numbers, 3 finite "
+                      f"positive sizes and a finite yaw, got {box!r}")
 
 
 def write_dataset(ds: ReidDataset, directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    offset = 0
-    with atomic_write(directory / "points.bin", "wb") as blob, \
-         atomic_write(directory / "manifest.jsonl", "w") as manifest:
-        for obs in ds.observations:
-            raw = np.ascontiguousarray(obs.points, dtype="<f4").tobytes()
-            blob.write(raw)
-            record = {
-                "observation_id": obs.observation_id,
-                "object_id": obs.object_id,
-                "predicted_class": obs.predicted_class,
-                "frame": obs.frame,
-                "n_points": obs.n_points,
-                "bucket": obs.bucket if obs.n_points >= 1 else None,
-                "detector_score": obs.detector_score,
-                "offset": offset,
-                "length": len(raw),
-            }
-            manifest.write(json.dumps(record) + "\n")
-            offset += len(raw)
+    _write_indexed(directory, "manifest.jsonl", "points.bin", (({
+        "observation_id": obs.observation_id,
+        "object_id": obs.object_id,
+        "predicted_class": obs.predicted_class,
+        "frame": obs.frame,
+        "n_points": obs.n_points,
+        "bucket": obs.bucket if obs.n_points >= 1 else None,
+        "detector_score": obs.detector_score,
+    }, obs.points) for obs in ds.observations))
 
 
 def read_dataset(directory) -> ReidDataset:
     directory = Path(directory)
-    manifest_path = directory / "manifest.jsonl"
-    blob_path = directory / "points.bin"
+    manifest_path, blob_path = directory / "manifest.jsonl", directory / "points.bin"
     if not manifest_path.is_file() or not blob_path.is_file():
         raise FormatError(f"not a dataset directory: {directory}")
     blob = blob_path.read_bytes()
     ds = ReidDataset()
-    with open(manifest_path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{manifest_path}:{lineno}"
-            rec = _record(line, _MANIFEST_KEYS, where)
-            what = f"observation {rec['observation_id']}"
-            if rec["length"] != rec["n_points"] * _POINT_BYTES:
-                raise FormatError(f"{where}: {what}: length {rec['length']} does not "
-                                  f"match n_points {rec['n_points']}")
-            ds.add(Observation(
-                observation_id=rec["observation_id"],
-                object_id=rec["object_id"],
-                predicted_class=rec["predicted_class"],
-                frame=rec["frame"],
-                points=_blob_points(blob, blob_path, rec, where, what),
-                detector_score=rec["detector_score"],
-            ))
+    for where, rec in read_records(manifest_path, _MANIFEST_KEYS):
+        what = f"observation {rec['observation_id']}"
+        if rec["length"] != rec["n_points"] * _POINT_BYTES:
+            raise FormatError(f"{where}: {what}: length {rec['length']} does not "
+                              f"match n_points {rec['n_points']}")
+        points = _blob_points(blob, blob_path, rec, where, what)
+        try:
+            ds.add(Observation(rec["observation_id"], rec["object_id"], rec["predicted_class"],
+                               rec["frame"], points, rec["detector_score"]))
+        except FormatError as e:  # a duplicate id or a class conflict
+            raise FormatError(f"{where}: {e}") from e
     return ds
 
 
@@ -132,84 +161,50 @@ def read_dataset(directory) -> ReidDataset:
 
 
 def write_detections(records: list[DetectionRecord], path) -> None:
-    with atomic_write(path) as f:
-        for r in records:
-            f.write(json.dumps({
-                "frame": r.frame,
-                "box": _box_to_json(r.box),
-                "score": r.score,
-                "predicted_class": r.predicted_class,
-            }) + "\n")
+    write_records(path, ({
+        "frame": r.frame,
+        "box": _box_to_json(r.box),
+        "score": r.score,
+        "predicted_class": r.predicted_class,
+    } for r in records))
 
 
 def read_detections(path) -> list[DetectionRecord]:
     out = []
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                out.append(DetectionRecord(
-                    frame=int(rec["frame"]),
-                    box=_box_from_json(rec["box"]),
-                    score=float(rec["score"]),
-                    predicted_class=rec["predicted_class"],
-                ))
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise FormatError(f"{path}:{lineno}: malformed detection record ({e})") from e
+    for where, rec in read_records(path, _DETECTION_KEYS):
+        box = _box_from_json(rec["box"], where)
+        try:
+            out.append(DetectionRecord(rec["frame"], box, float(rec["score"]),
+                                       rec["predicted_class"]))
+        except FormatError as e:  # a score outside [0, 1]
+            raise FormatError(f"{where}: {e}") from e
     return out
 
 
 def write_gt(records: list[GtTrackRecord], path) -> None:
-    with atomic_write(path) as f:
-        for r in records:
-            f.write(json.dumps({
-                "frame": r.frame,
-                "box": _box_to_json(r.box),
-                "object_id": r.object_id,
-                "class": r.cls,
-            }) + "\n")
+    write_records(path, ({
+        "frame": r.frame,
+        "box": _box_to_json(r.box),
+        "object_id": r.object_id,
+        "class": r.cls,
+    } for r in records))
 
 
 def read_gt(path) -> list[GtTrackRecord]:
-    out = []
-    seen = set()
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-                r = GtTrackRecord(
-                    frame=int(rec["frame"]),
-                    box=_box_from_json(rec["box"]),
-                    object_id=rec["object_id"],
-                    cls=rec["class"],
-                )
-            except (KeyError, TypeError, ValueError, json.JSONDecodeError) as e:
-                raise FormatError(f"{path}:{lineno}: malformed GT record ({e})") from e
-            key = (r.frame, r.object_id)
-            if key in seen:
-                raise FormatError(f"{path}:{lineno}: duplicate (frame, object_id) {key}")
-            seen.add(key)
-            out.append(r)
+    out, seen = [], set()
+    for where, rec in read_records(path, _GT_KEYS):
+        box = _box_from_json(rec["box"], where)
+        key = (rec["frame"], rec["object_id"])
+        if key in seen:
+            raise FormatError(f"{where}: duplicate (frame, object_id) {key}")
+        seen.add(key)
+        out.append(GtTrackRecord(rec["frame"], box, rec["object_id"], rec["class"]))
     return out
 
 
 def write_frames(frame_points: dict[int, np.ndarray], directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    offset = 0
-    with atomic_write(directory / "frames.bin", "wb") as blob, \
-         atomic_write(directory / "frames.jsonl", "w") as index:
-        for frame in sorted(frame_points):
-            raw = np.ascontiguousarray(frame_points[frame], dtype="<f4").tobytes()
-            blob.write(raw)
-            index.write(json.dumps({"frame": frame, "offset": offset, "length": len(raw)}) + "\n")
-            offset += len(raw)
+    _write_indexed(directory, "frames.jsonl", "frames.bin",
+                   (({"frame": frame}, frame_points[frame]) for frame in sorted(frame_points)))
 
 
 def read_frames(directory) -> dict[int, np.ndarray]:
@@ -217,15 +212,9 @@ def read_frames(directory) -> dict[int, np.ndarray]:
     index_path, blob_path = directory / "frames.jsonl", directory / "frames.bin"
     blob = blob_path.read_bytes()
     out = {}
-    with open(index_path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{index_path}:{lineno}"
-            rec = _record(line, _FRAME_KEYS, where)
-            what = f"frame {rec['frame']}"
-            if rec["frame"] in out:
-                raise FormatError(f"{where}: duplicate {what}")
-            out[rec["frame"]] = _blob_points(blob, blob_path, rec, where, what)
+    for where, rec in read_records(index_path, _FRAME_KEYS):
+        what = f"frame {rec['frame']}"
+        if rec["frame"] in out:
+            raise FormatError(f"{where}: duplicate {what}")
+        out[rec["frame"]] = _blob_points(blob, blob_path, rec, where, what)
     return out

@@ -74,13 +74,6 @@ class ReidDataset:
     class_of: dict[str, str] = field(default_factory=dict)             # object_id -> class
     _by_id: dict[str, Observation] = field(default_factory=dict, repr=False)
 
-    @classmethod
-    def from_observations(cls, observations: list[Observation]) -> "ReidDataset":
-        ds = cls()
-        for obs in observations:
-            ds.add(obs)
-        return ds
-
     def add(self, obs: Observation):
         if obs.observation_id in self._by_id:
             raise FormatError(f"duplicate observation_id: {obs.observation_id}")
@@ -98,6 +91,9 @@ class ReidDataset:
 
     def get(self, observation_id: str) -> Observation:
         return self._by_id[observation_id]
+
+    def __contains__(self, observation_id: str) -> bool:
+        return observation_id in self._by_id
 
     def __len__(self) -> int:
         return len(self.observations)

@@ -60,20 +60,19 @@ def load_checkpoint(path, encoder_cfg: EncoderConfig, rtmm_cfg: RtmmConfig,
     seen = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
-        name = take(name_len, "name").decode("utf-8")
-        (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
-        shape = tuple(
-            struct.unpack("<Q", take(8, f"dims of {name}"))[0] for _ in range(rank)
-        )
-        size = int(np.prod(shape)) if shape else 1
-        data = np.frombuffer(take(4 * size, f"data of {name}"), dtype="<f4").reshape(shape)
+        # a name that is not UTF-8 comes out with U+FFFD and is unknown
+        name = take(name_len, "name").decode("utf-8", errors="replace")
         if name not in model.params:
             raise CheckpointError(f"{path}: parameter {name!r} unknown to this model config")
         target = model.params[name]
+        (rank,) = struct.unpack("<B", take(1, f"rank of {name}"))
+        shape = struct.unpack(f"<{rank}Q", take(8 * rank, f"dims of {name}"))
         if target.data.shape != shape:
             raise CheckpointError(
                 f"{path}: parameter {name!r} has shape {shape}, config expects {target.data.shape}"
             )
+        data = np.frombuffer(take(4 * target.data.size, f"data of {name}"),
+                             dtype="<f4").reshape(shape)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
         target.data = data.astype(dtype).copy() if dtype != np.float32 else data.copy()

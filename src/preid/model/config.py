@@ -43,5 +43,20 @@ def config_to_json(encoder: EncoderConfig, rtmm: RtmmConfig) -> str:
 
 
 def config_from_json(text: str) -> tuple[EncoderConfig, RtmmConfig]:
+    """Parse model_config.json. Bad JSON, a missing section, an unknown key
+    or a value of another JSON type than its field's default is a ValueError."""
     obj = json.loads(text)
-    return EncoderConfig(**obj["encoder"]), RtmmConfig(**obj["rtmm"])
+    configs = []
+    for section, cls in (("encoder", EncoderConfig), ("rtmm", RtmmConfig)):
+        values = obj.get(section) if isinstance(obj, dict) else None
+        defaults = asdict(cls())
+        if not isinstance(values, dict):
+            raise ValueError(f"section {section!r} is missing or not a JSON object")
+        for key, value in values.items():
+            if key not in defaults:
+                raise ValueError(f"unknown key {section}.{key}")
+            if type(value) is not type(defaults[key]) or \
+                    isinstance(value, list) and any(type(v) is not int for v in value):
+                raise ValueError(f"{section}.{key} must be like {defaults[key]!r}, got {value!r}")
+        configs.append(cls(**values))
+    return configs[0], configs[1]

@@ -11,11 +11,11 @@ sampling is order-independent and reproducible.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
-from .data.records import ReidDataset
-from .util import atomic_write, keyed_rng, stable_hash
+from .data.io import read_records, write_records
+from .data.records import FormatError, ReidDataset
+from .util import keyed_rng, stable_hash
 
 MATCH = "MATCH"
 NON_MATCH = "NON_MATCH"
@@ -232,29 +232,36 @@ def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
     return ev
 
 
+_PAIR_KEYS = {"obs_a": (str,), "obs_b": (str,), "label": (str,), "class": (str,),
+              "n_a": (int,), "n_b": (int,)}
+
+
 def write_eval_set(ev: EvalSet, path) -> None:
-    with atomic_write(path) as f:
-        for pair, (na, nb) in zip(ev.pairs, ev.densities):
-            f.write(json.dumps({
-                "obs_a": pair.obs_a,
-                "obs_b": pair.obs_b,
-                "label": pair.label,
-                "class": pair.cls,
-                "n_a": na,
-                "n_b": nb,
-            }) + "\n")
+    write_records(path, ({
+        "obs_a": pair.obs_a,
+        "obs_b": pair.obs_b,
+        "label": pair.label,
+        "class": pair.cls,
+        "n_a": na,
+        "n_b": nb,
+    } for pair, (na, nb) in zip(ev.pairs, ev.densities)))
 
 
 def read_eval_set(path, ds: ReidDataset) -> EvalSet:
+    """Read pairs.jsonl, checking each pair against the dataset it was built from."""
     ev = EvalSet()
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if not line:
-                continue
-            rec = json.loads(line)
-            is_fp = rec["label"] == NON_MATCH and ds.get(rec["obs_b"]).is_fp
-            ev.pairs.append(PairSample(rec["obs_a"], rec["obs_b"], rec["label"],
-                                       rec["class"], is_fp_pair=is_fp))
-            ev.densities.append((int(rec["n_a"]), int(rec["n_b"])))
+    for where, rec in read_records(path, _PAIR_KEYS):
+        if rec["label"] not in (MATCH, NON_MATCH):
+            raise FormatError(f"{where}: label {rec['label']!r} is not {MATCH} or {NON_MATCH}")
+        for side in "ab":
+            obs_id, n = rec[f"obs_{side}"], rec[f"n_{side}"]
+            if obs_id not in ds:
+                raise FormatError(f"{where}: obs_{side} {obs_id!r} is not in the dataset")
+            if ds.get(obs_id).n_points != n:
+                raise FormatError(f"{where}: n_{side} is {n}, but observation {obs_id!r} "
+                                  f"has {ds.get(obs_id).n_points} points")
+        is_fp = rec["label"] == NON_MATCH and ds.get(rec["obs_b"]).is_fp
+        ev.pairs.append(PairSample(rec["obs_a"], rec["obs_b"], rec["label"],
+                                   rec["class"], is_fp_pair=is_fp))
+        ev.densities.append((rec["n_a"], rec["n_b"]))
     return ev

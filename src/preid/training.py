@@ -52,7 +52,6 @@ class TrainConfig:
     schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
     seed: int = 0
     sampler: str = EVEN
-    checkpoint_every: int = 0          # epochs; 0 means epochs // 5
     early_stop_accuracy: float | None = None   # stop once the running batch
                                                # accuracy reaches this level
 
@@ -161,7 +160,7 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     n_objects = ds.n_objects()
     steps_per_epoch = math.ceil(n_objects / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
-    ckpt_every = cfg.checkpoint_every or max(1, cfg.epochs // 5)
+    ckpt_every = max(1, cfg.epochs // 5)
     n_points = model.encoder_cfg.n_points
 
     optimizer = AdamW(model.params, weight_decay=cfg.weight_decay)

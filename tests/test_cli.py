@@ -59,6 +59,41 @@ MALFORMED_RECORDS = {
 }
 
 
+def with_box(**fields):
+    """An edit that replaces fields of a log record's box."""
+    return lambda rec: {**rec, "box": {**rec["box"], **fields}}
+
+
+# ways to break one detection / GT record
+MALFORMED_LOG_RECORDS = {
+    "NaN box centre": with_box(center=[math.nan, 0.0, 0.5]),
+    "1e999 box size": lambda rec: json.dumps(with_box(size=[1e300, 1.0, 1.0])(rec)).replace(
+        "1e+300", "1e999"),
+    "2-element size": lambda rec: with_box(size=rec["box"]["size"][:2])(rec),
+    "non-positive size": with_box(size=[1.0, 0.0, 1.0]),
+    "float frame": lambda rec: {**rec, "frame": rec["frame"] + 0.7},
+    "string frame": lambda rec: {**rec, "frame": str(rec["frame"])},
+}
+
+# ways to break one eval pair
+MALFORMED_PAIRS = {
+    "missing key": lambda rec: {k: v for k, v in rec.items() if k != "n_b"},
+    "wrong type": lambda rec: {**rec, "n_a": str(rec["n_a"])},
+    "bad JSON": lambda rec: '{"obs_a": ',
+    "unknown label": lambda rec: {**rec, "label": "maybe"},
+    "unknown observation": lambda rec: {**rec, "obs_b": "no-such-observation"},
+    "n_a mismatch": lambda rec: {**rec, "n_a": rec["n_a"] + 1},
+}
+
+# ways to break a run's model_config.json
+MALFORMED_MODEL_CONFIGS = {
+    "bad JSON": lambda cfg: "{oops",
+    "unknown key": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "bogus": 1}},
+    "missing section": lambda cfg: {"encoder": cfg["encoder"]},
+    "wrong type": lambda cfg: {**cfg, "rtmm": {**cfg["rtmm"], "layers": "1"}},
+}
+
+
 def signature_defaults(fn):
     return {name: p.default for name, p in inspect.signature(fn).parameters.items()
             if p.default is not inspect.Parameter.empty}
@@ -245,6 +280,39 @@ class TestExitCodes:
         assert main(["build-dataset", "--logs", str(logs), "--out", str(tmp_path / "ds")]) == 2
         assert f"{logs / 'frames.jsonl'}:2" in capsys.readouterr().err
         assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("log", ["detections.jsonl", "gt.jsonl"])
+    @pytest.mark.parametrize("case", list(MALFORMED_LOG_RECORDS))
+    def test_malformed_log_record_is_data_error(self, pipeline, tmp_path, capsys, log, case):
+        logs = tmp_path / "logs"
+        shutil.copytree(pipeline / "logs", logs)
+        edit_record(logs / log, 2, MALFORMED_LOG_RECORDS[case])
+        assert main(["build-dataset", "--logs", str(logs), "--out", str(tmp_path / "ds")]) == 2
+        assert f"{logs / log}:2" in capsys.readouterr().err
+        assert not (tmp_path / "ds").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "curve"])
+    @pytest.mark.parametrize("case", list(MALFORMED_PAIRS))
+    def test_malformed_pair_is_data_error(self, pipeline, tmp_path, capsys, command, case):
+        pairs, out = tmp_path / "pairs.jsonl", tmp_path / "out"
+        shutil.copy(pipeline / "pairs.jsonl", pairs)
+        edit_record(pairs, 2, MALFORMED_PAIRS[case])
+        assert main([command, "--dataset", str(pipeline / "ds"), "--model", str(pipeline / "run"),
+                     "--pairs", str(pairs), "--out", str(out)]) == 2
+        assert f"{pairs}:2" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("case", list(MALFORMED_MODEL_CONFIGS))
+    def test_malformed_model_config_is_data_error(self, pipeline, tmp_path, capsys, case):
+        run, out = tmp_path / "run", tmp_path / "report.json"
+        shutil.copytree(pipeline / "run", run)
+        cfg = run / "model_config.json"
+        new = MALFORMED_MODEL_CONFIGS[case](json.loads(cfg.read_text()))
+        cfg.write_text(new if isinstance(new, str) else json.dumps(new))
+        assert main(["eval", "--dataset", str(pipeline / "ds"), "--model", str(run),
+                     "--pairs", str(pipeline / "pairs.jsonl"), "--out", str(out)]) == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestLibraryDefaults:

@@ -1,5 +1,6 @@
 """Encoders, cross-attention block, matching head, checkpoints."""
 
+import re
 import struct
 
 import numpy as np
@@ -304,6 +305,20 @@ class TestCheckpoints:
         last = model.params.names()[-1]
         with pytest.raises(CheckpointError, match=f"{last}.*non-finite"):
             load_checkpoint(tmp_path / "m.ckpt", model.encoder_cfg, model.rtmm_cfg)
+
+    @pytest.mark.parametrize("field, value", [("name", 0xFF), ("rank", 200)])
+    def test_corrupt_header_byte_names_file(self, tmp_path, field, value):
+        model = micro_model()
+        path = tmp_path / "m.ckpt"
+        save_checkpoint(model, path)
+        blob = bytearray(path.read_bytes())
+        # magic (5), parameter count (4) and name length (2) come before the
+        # first name, and the first name before its rank byte
+        first = model.params.names()[0]
+        blob[{"name": 11, "rank": 11 + len(first.encode())}[field]] = value
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match=re.escape(str(path))):
+            load_checkpoint(path, model.encoder_cfg, model.rtmm_cfg)
 
     def test_inference_records_no_tape(self, tmp_path):
         model = micro_model()
