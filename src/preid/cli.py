@@ -25,6 +25,7 @@ import numpy as np
 from .data import (
     ConfigError,
     FormatError,
+    InputError,
     SynthConfig,
     extract_observations,
     generate_synthetic,
@@ -92,8 +93,8 @@ def _configure(path, args, *targets) -> list:
     or the defaults) and a map from config-file key to the field of ``base``
     that the key sets. A key is also the argparse dest of its flag, if it
     has one. File values replace the base's and explicit flags replace
-    both, via ``dataclasses.replace``. A file key that no target knows is a
-    ConfigError naming the file and the key.
+    both, via ``dataclasses.replace``. A file key that no target knows, or
+    a value that the dataclass rejects, is a ConfigError naming the file.
     """
     config = {}
     if path is not None:
@@ -119,8 +120,8 @@ def _configure(path, args, *targets) -> list:
                 values[field] = config[key]
         try:
             out.append(dataclasses.replace(base, **values))
-        except TypeError as e:
-            raise ConfigError(f"{path}: {e}") from e
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"{path}: {e}" if path is not None else str(e)) from e
     return out
 
 
@@ -195,8 +196,11 @@ def _cmd_build_dataset(args) -> int:
     detections = read_detections(src / "detections.jsonl")
     gt = read_gt(src / "gt.jsonl")
     frame_points = read_frames(src)
-    ds = extract_observations(detections, gt, frame_points,
-                              tau_c=args.tau_c, tau_iou=args.tau_iou)
+    try:
+        ds = extract_observations(detections, gt, frame_points,
+                                  tau_c=args.tau_c, tau_iou=args.tau_iou)
+    except InputError as e:
+        raise InputError(f"{src / 'detections.jsonl'}: {e}") from e
     write_dataset(ds, args.out)
     _resolved_config(args.out, "build-dataset", {
         "logs": str(src), "tau_c": args.tau_c, "tau_iou": args.tau_iou,

@@ -11,8 +11,10 @@ A detection's box lies inside the vertical cylinder of its circumscribed
 BEV radius, so only points within ``reach`` (that radius plus a small
 absolute margin) of the box center in x, found by binary search in the
 index, and then in y can lie inside it. Only those candidates, in their
-original order, reach the exact :func:`crop` test, so the kept points and
-their order are those of a crop of the whole frame.
+original order, reach the exact :func:`crop` test. Its rotation is
+elementwise, so each point rounds the same among any number of candidates,
+a lone one included, and the kept points and their order are those of a
+crop of the whole frame.
 """
 
 from __future__ import annotations
@@ -62,7 +64,9 @@ def extract_observations(
     ds = ReidDataset()
     for frame in sorted(by_frame_det):
         if frame not in frame_points:
-            raise InputError(f"detections reference frame {frame} absent from frame points")
+            det_idx = by_frame_det[frame][0][0]
+            raise InputError(f"detection d{det_idx:05d} references frame {frame}, "
+                             f"absent from frame points")
         dets = [(i, d) for i, d in by_frame_det[frame] if d.score > tau_c]
         if not dets:
             continue
@@ -106,12 +110,6 @@ def extract_observations(
                 object_id = None
             cand = np.sort(order[lo[r]:hi[r]])
             cand = cand[np.abs(points[cand, 1] - det_xy[r, 1]) <= reach[r]]
-            if len(cand) == 1 and len(points) > 1:
-                # numpy multiplies a single row with gemv, which rounds
-                # differently from the gemm a whole frame gets and can flip
-                # crop's test for a point on a face; any second point lies
-                # outside the band, so outside the box, and keeps gemm
-                cand = np.append(cand, 1 if cand[0] == 0 else 0)
             canon = _crop_canonical(points[cand], det.box)
             if len(canon) == 0:
                 continue

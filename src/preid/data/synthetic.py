@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import Box3D
-from ..util import keyed_rng
+from ..geometry import Box3D, uncanonicalize
+from ..util import ConfigError, check_numbers, keyed_rng
 from .records import DetectionRecord, GtTrackRecord
 
 RIGID_CLASSES = ("car", "bus", "truck")
@@ -37,10 +37,6 @@ _CELL = 60.0       # grid spacing between objects; crops can never overlap
 _N_DENTS = 6
 
 
-class ConfigError(ValueError):
-    pass
-
-
 @dataclass
 class SynthConfig:
     n_objects: dict[str, int] = field(default_factory=lambda: {"car": 10, "pedestrian": 5})
@@ -54,14 +50,15 @@ class SynthConfig:
     sensor_noise: float = 0.015              # per-point Gaussian noise, meters
 
     def __post_init__(self):
+        check_numbers(self, {"n_objects": 0, "frames": 1},
+                      ("lam", "sigma_center", "sigma_yaw", "fp_rate", "articulation",
+                       "dim_spread", "sensor_noise"))
         lams = self.lam if isinstance(self.lam, list) else [self.lam]
         if not lams or any(l <= 0 for l in lams):
             raise ConfigError(f"lam must be positive, got {self.lam}")
         if self.fp_rate < 0 or self.sigma_center < 0 or self.sigma_yaw < 0 \
                 or self.sensor_noise < 0:
             raise ConfigError("rates and noise scales must be non-negative")
-        if self.frames < 1:
-            raise ConfigError("need at least one frame")
         if not (0.0 <= self.dim_spread < 1.0):
             raise ConfigError("dim_spread must lie in [0, 1)")
         for cls in self.n_objects:
@@ -200,11 +197,8 @@ def generate_synthetic(
             local = _sample_surface(rng, dims, n)
             local = _apply_dents(local, dims, centers, depths, widths)
             local += rng.normal(0, cfg.sensor_noise, size=local.shape)
-            c, s = math.cos(yaw), math.sin(yaw)
-            world = local @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]]) + (cx, cy, cz)
-            cloud.append(world)
-
             gt_box = Box3D((cx, cy, cz), spec.dims, yaw)
+            cloud.append(uncanonicalize(local, gt_box))
             gt.append(GtTrackRecord(frame=frame, box=gt_box, object_id=spec.object_id, cls=spec.cls))
             det_box = Box3D(
                 (cx + rng.normal(0, cfg.sigma_center),

@@ -41,9 +41,7 @@ class Box3D:
         """Corners of the yaw-rotated footprint rectangle, shape (4, 2), CCW."""
         l, w, _ = self.size
         local = np.array([[l, w], [-l, w], [-l, -w], [l, -w]]) * 0.5
-        c, s = math.cos(self.yaw), math.sin(self.yaw)
-        rot = np.array([[c, -s], [s, c]])
-        return local @ rot.T + np.asarray(self.center[:2])
+        return _rotate_yaw(local, self.yaw) + np.asarray(self.center[:2])
 
 
 @dataclass
@@ -115,21 +113,27 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs, float(cost[rows, cols].sum()))
 
 
-def _rotation_z(yaw: float) -> np.ndarray:
+def _rotate_yaw(pts: np.ndarray, yaw: float) -> np.ndarray:
+    """Rotate the x, y columns of float64 ``pts`` about z by ``yaw``, in place.
+    Elementwise, so each row rounds the same in any batch; pass only an
+    array made for the call, never the caller's input."""
     c, s = math.cos(yaw), math.sin(yaw)
-    return np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
+    x, y = pts[:, 0], pts[:, 1]
+    pts[:, 0], pts[:, 1] = c * x - s * y, s * x + c * y
+    return pts
 
 
 def canonicalize(points, box: Box3D) -> np.ndarray:
     """Map points into the box frame: p -> R_z(-yaw) (p - center)."""
     pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return (pts - np.asarray(box.center)) @ _rotation_z(-box.yaw).T
+    return _rotate_yaw(pts - np.asarray(box.center), -box.yaw)
 
 
 def uncanonicalize(points, box: Box3D) -> np.ndarray:
     """Inverse of :func:`canonicalize`."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return pts @ _rotation_z(box.yaw).T + np.asarray(box.center)
+    # np.array copies, so the in-place rotation leaves the caller's array be
+    pts = np.array(points, dtype=np.float64).reshape(-1, 3)
+    return _rotate_yaw(pts, box.yaw) + np.asarray(box.center)
 
 
 def crop(points, box: Box3D) -> np.ndarray:

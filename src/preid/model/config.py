@@ -5,6 +5,8 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field
 
+from ..util import check_numbers
+
 POINTNET_LITE = "pointnet_lite"
 EDGECONV_LITE = "edgeconv_lite"
 
@@ -19,6 +21,7 @@ class EncoderConfig:
     knn: int = 8  # edgeconv only
 
     def __post_init__(self):
+        check_numbers(self, {"in_dim": 1, "out_dim": 1, "n_points": 1, "hidden": 1, "knn": 1})
         if self.kind not in (POINTNET_LITE, EDGECONV_LITE):
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.kind == EDGECONV_LITE and self.n_points < self.knn:
@@ -34,8 +37,8 @@ class RtmmConfig:
     res_hidden: int = 0        # 0 means 2*dim
 
     def __post_init__(self):
-        if self.layers < 1:
-            raise ValueError("need at least one cross-attention layer")
+        check_numbers(self, {"layers": 1, "dim": 1, "pos_hidden": 1, "mlp_hidden": 1,
+                             "res_hidden": 0})
 
 
 def config_to_json(encoder: EncoderConfig, rtmm: RtmmConfig) -> str:
@@ -43,8 +46,9 @@ def config_to_json(encoder: EncoderConfig, rtmm: RtmmConfig) -> str:
 
 
 def config_from_json(text: str) -> tuple[EncoderConfig, RtmmConfig]:
-    """Parse model_config.json. Bad JSON, a missing section, an unknown key
-    or a value of another JSON type than its field's default is a ValueError."""
+    """Parse model_config.json. Bad JSON, a missing section, an unknown key,
+    a value of another JSON type than its field's default or one that the
+    config's own checks reject is a ValueError."""
     obj = json.loads(text)
     configs = []
     for section, cls in (("encoder", EncoderConfig), ("rtmm", RtmmConfig)):
@@ -55,8 +59,7 @@ def config_from_json(text: str) -> tuple[EncoderConfig, RtmmConfig]:
         for key, value in values.items():
             if key not in defaults:
                 raise ValueError(f"unknown key {section}.{key}")
-            if type(value) is not type(defaults[key]) or \
-                    isinstance(value, list) and any(type(v) is not int for v in value):
+            if type(value) is not type(defaults[key]):
                 raise ValueError(f"{section}.{key} must be like {defaults[key]!r}, got {value!r}")
         configs.append(cls(**values))
     return configs[0], configs[1]

@@ -21,7 +21,7 @@ from .data.records import ReidDataset
 from .model.checkpoint import save_checkpoint
 from .model.network import ReidModel, resample_points
 from .sampling import MATCH, even_epoch, uniform_epoch
-from .util import atomic_write, keyed_rng, stable_hash
+from .util import atomic_write, check_numbers, keyed_rng, stable_hash
 
 EVEN = "even"
 UNIFORM = "uniform"
@@ -56,6 +56,8 @@ class TrainConfig:
                                                # accuracy reaches this level
 
     def __post_init__(self):
+        check_numbers(self, {"batch_size": 1, "epochs": 1},
+                      ("lr_base", "weight_decay", "clip_norm"))
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
         if self.sampler not in (EVEN, UNIFORM):

@@ -1,8 +1,9 @@
-"""Shared plumbing: atomic file writes and keyed RNG streams."""
+"""Shared plumbing: atomic file writes, keyed RNG streams and config checks."""
 
 from __future__ import annotations
 
 import hashlib
+import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -43,3 +44,25 @@ def keyed_rng(*keys) -> np.random.Generator:
     ints = [stable_hash(k) if isinstance(k, str) else int(k) & 0xFFFFFFFFFFFFFFFF for k in keys]
     return np.random.default_rng(np.random.SeedSequence(ints))
 
+
+class ConfigError(ValueError):
+    """A configuration value is unknown, of the wrong type or out of range."""
+
+
+def check_numbers(cfg, ints: dict[str, int], reals: tuple[str, ...] = ()) -> None:
+    """Check the numeric fields of a config dataclass. Each field named in
+    ``ints`` must hold an int of at least the given minimum, and each named
+    in ``reals`` a finite int or float; a bool is neither. A list or dict
+    field is checked item by item. Raises a ConfigError naming the field."""
+    for name in (*ints, *reals):
+        value = getattr(cfg, name)
+        items = value.values() if isinstance(value, dict) else \
+            value if isinstance(value, list) else [value]
+        kind, want = (int, "an int") if name in ints else ((int, float), "a number")
+        for v in items:
+            if isinstance(v, bool) or not isinstance(v, kind):
+                raise ConfigError(f"{name}: {v!r} is not {want}")
+            if name in ints and v < ints[name]:
+                raise ConfigError(f"{name}: {v!r} is below {ints[name]}")
+            if not math.isfinite(v):
+                raise ConfigError(f"{name}: {v!r} is not finite")

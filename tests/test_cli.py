@@ -91,7 +91,20 @@ MALFORMED_MODEL_CONFIGS = {
     "unknown key": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "bogus": 1}},
     "missing section": lambda cfg: {"encoder": cfg["encoder"]},
     "wrong type": lambda cfg: {**cfg, "rtmm": {**cfg["rtmm"], "layers": "1"}},
+    "zero n_points": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "n_points": 0}},
 }
+
+# config-file values that the config dataclasses reject, per command
+BAD_CONFIG_VALUES = [
+    ("train", {"epochs": "2"}),
+    ("train", {"epochs": 2.5}),
+    ("train", {"epochs": True}),
+    ("train", {"dim": "8"}),
+    ("train", {"lr_base": "x"}),
+    ("gen-synthetic", {"frames": 2.5}),
+    ("gen-synthetic", {"n_objects": {"car": "2"}}),
+    ("gen-synthetic", {"n_objects": {"car": -1}}),
+]
 
 
 def signature_defaults(fn):
@@ -239,6 +252,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert repr(key) in err and str(cfg) in err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
+    def test_zero_train_flag_is_data_error(self, pipeline, tmp_path, capsys, flag):
+        assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(tmp_path / "o"),
+                     flag, "0"]) == 2
+        capsys.readouterr()
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command, config", BAD_CONFIG_VALUES,
+                             ids=[f"{cmd} {json.dumps(cfg)}" for cmd, cfg in BAD_CONFIG_VALUES])
+    def test_bad_config_value_is_data_error(self, pipeline, tmp_path, capsys, command, config):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        args = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        if command == "train":
+            args += ["--dataset", str(pipeline / "ds")]
+        assert main(args) == 2
+        assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_detection_in_missing_frame_is_data_error(self, pipeline, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        shutil.copytree(pipeline / "logs", logs)
+        edit_record(logs / "detections.jsonl", 2, lambda rec: {**rec, "frame": 99})
+        assert main(["build-dataset", "--logs", str(logs), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert str(logs / "detections.jsonl") in err and "d00001" in err
+        assert not (tmp_path / "ds").exists()
 
     def test_nan_point_is_data_error(self, pipeline, tmp_path, capsys):
         ds = tmp_path / "ds"

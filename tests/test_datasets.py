@@ -78,7 +78,7 @@ class TestExtraction:
         assert not ds.fp_index
 
     def test_missing_frame_points(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="d00000 references frame 0"):
             extract_observations([_det(0, (0, 0, 0))], [], {})
 
     def test_canonical_frame_uses_detected_box(self):

@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preid.geometry import (
     Box3D,
@@ -280,6 +282,38 @@ class TestCanonicalize:
         # after 90-degree yaw, the long axis lies along y
         assert len(crop(np.array([[0.0, 1.9, 0.0]]), box)) == 1
         assert len(crop(np.array([[1.9, 0.0, 0.0]]), box)) == 0
+
+
+_yaws = st.one_of(st.sampled_from([0.0, math.pi / 2, math.pi, -math.pi / 4, -3.0]),
+                  st.floats(-math.pi, math.pi))
+_boxes = st.builds(Box3D,
+                   st.tuples(st.floats(-100, 100), st.floats(-100, 100), st.floats(-2, 2)),
+                   st.tuples(*[st.floats(0.05, 12.0)] * 3), _yaws)
+# a point's canonical coordinates in half-sizes: on a face, edge or corner
+# when a component is +-1, inside when none is
+_face_signs = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])] * 3)
+
+
+class TestBatchIndependence:
+    """A point rotates, and so is cropped, the same alone as in any batch."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_boxes, st.lists(_face_signs, min_size=2, max_size=40))
+    def test_rows_round_the_same_alone(self, box, signs):
+        local = np.array(signs) * np.array(box.size) / 2
+        world = uncanonicalize(local, box)
+        world_before, local_before = world.tobytes(), local.tobytes()
+        canon = canonicalize(world, box)
+        back = uncanonicalize(local, box)
+        kept = crop(world, box)
+        # a float64 input is used as it is, so it must come back untouched
+        assert world.tobytes() == world_before and local.tobytes() == local_before
+        alone_kept = []
+        for i in range(len(world)):
+            assert canonicalize(world[i:i + 1], box).tobytes() == canon[i:i + 1].tobytes()
+            assert uncanonicalize(local[i:i + 1], box).tobytes() == back[i:i + 1].tobytes()
+            alone_kept += crop(world[i:i + 1], box).tolist()
+        assert np.array(alone_kept).reshape(-1, 3).tobytes() == kept.tobytes()
 
 
 class TestBuckets:
