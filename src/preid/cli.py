@@ -262,16 +262,8 @@ def _cmd_eval(args) -> int:
     ev = read_eval_set(args.pairs, ds)
     report = evaluate(model, ev, ds, threshold=args.threshold, seed=args.seed)
     out = Path(args.out)
-    _write_json(out, {
-        "accuracy": report.accuracy,
-        "f1_pos": report.f1_pos,
-        "f1_neg": report.f1_neg,
-        "per_class": report.per_class,
-        "fp_accuracy": report.fp_accuracy,
-        "n_pairs": report.n_pairs,
-        "threshold": args.threshold,
-        "seed": args.seed,
-    })
+    _write_json(out, {**dataclasses.asdict(report),
+                      "threshold": args.threshold, "seed": args.seed})
     _resolved_config(out.parent, "eval", {
         "dataset": str(args.dataset), "model": str(args.model),
         "pairs": str(args.pairs), "threshold": args.threshold, "seed": args.seed,
@@ -341,16 +333,8 @@ def _cmd_bench(args) -> int:
         model = ReidModel(EncoderConfig(), RtmmConfig(), seed=args.seed)
     report = bench(model, batch_size=args.batch, n_trials=args.trials,
                    warmup=args.warmup, seed=args.seed)
-    result = {
-        "batch_size": report.batch_size,
-        "n_trials": report.n_trials,
-        "mean_ms": report.mean_ms,
-        "stderr_ms": report.stderr_ms,
-        "pairs_per_sec": report.pairs_per_sec,
-        "samples_ms": report.samples_ms,
-    }
     if args.out:
-        _write_json(args.out, result)
+        _write_json(args.out, dataclasses.asdict(report))
         _resolved_config(Path(args.out).parent, "bench", {
             "model": str(args.model), "batch": args.batch,
             "trials": args.trials, "warmup": args.warmup, "seed": args.seed,

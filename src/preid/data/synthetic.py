@@ -35,6 +35,7 @@ _CLASS_DIMS = {
 
 _CELL = 60.0       # grid spacing between objects; crops can never overlap
 _N_DENTS = 6
+_FREE_AXES = np.array([[1, 2], [0, 2], [0, 1]])  # row k: in-face axes of faces 2k, 2k+1
 
 
 @dataclass
@@ -104,26 +105,22 @@ class _ObjectSpec:
 
 
 def _sample_surface(rng: np.random.Generator, dims, n: int) -> np.ndarray:
-    """Uniform points on the box surface, in the box's local frame."""
-    l, w, h = dims
-    areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
+    """Uniform points on the box surface, in the box's local frame.
+
+    Face ``2k`` lies at ``+dims[k]/2`` and face ``2k+1`` at ``-dims[k]/2``
+    along axis ``k``; the other two axes, in axis order, take the two
+    uniform draws times their sizes. Faces are drawn by area.
+    """
+    size = np.asarray(dims, dtype=np.float64)
+    areas = size[_FREE_AXES].prod(axis=1).repeat(2)
     faces = rng.choice(6, size=n, p=areas / areas.sum())
     u = rng.uniform(-0.5, 0.5, size=(n, 2))
+    axis = faces // 2
+    free = _FREE_AXES[axis]
+    rows = np.arange(n)
     pts = np.empty((n, 3))
-    for i, f in enumerate(faces):
-        a, b = u[i]
-        if f == 0:
-            pts[i] = (l / 2, a * w, b * h)
-        elif f == 1:
-            pts[i] = (-l / 2, a * w, b * h)
-        elif f == 2:
-            pts[i] = (a * l, w / 2, b * h)
-        elif f == 3:
-            pts[i] = (a * l, -w / 2, b * h)
-        elif f == 4:
-            pts[i] = (a * l, b * w, h / 2)
-        else:
-            pts[i] = (a * l, b * w, -h / 2)
+    pts[rows, axis] = np.where(faces % 2 == 0, 0.5, -0.5) * size[axis]
+    pts[rows[:, None], free] = u * size[free]
     return pts
 
 
@@ -134,10 +131,8 @@ def _apply_dents(points: np.ndarray, dims, centers, depths, widths) -> np.ndarra
     l, w, h = dims
     # parameterize each point by its normalized position, compare to dent centers
     uv = np.stack([points[:, 0] / l + 0.5, points[:, 2] / h + 0.5], axis=1)
-    depth = np.zeros(len(points))
-    for c, d, s in zip(centers, depths, widths):
-        dist2 = ((uv - c) ** 2).sum(axis=1)
-        depth += d * np.exp(-dist2 / (2 * s * s))
+    dist2 = ((uv[:, None, :] - centers) ** 2).sum(axis=2)             # (n, dents)
+    depth = (depths * np.exp(-dist2 / (2 * widths * widths))).sum(axis=1)
     # move toward the vertical axis and the mid-height plane
     shrink = np.clip(1.0 - depth[:, None], 0.55, 1.0)
     out = points.copy()

@@ -16,6 +16,7 @@ from .util import keyed_rng, stable_hash
 
 BOTH_ATLEAST = "both"
 ONE_ATLEAST = "one"
+_SCORE_BATCH = 512  # pairs per score_batch call
 
 
 @dataclass
@@ -53,11 +54,11 @@ class PairPredictions:
 
 
 def _score_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
-                 seed: int, batch_size: int = 512) -> np.ndarray:
+                 seed: int) -> np.ndarray:
     n = model.encoder_cfg.n_points
     logits = np.empty(len(eval_set.pairs))
-    for lo in range(0, len(eval_set.pairs), batch_size):
-        chunk = eval_set.pairs[lo:lo + batch_size]
+    for lo in range(0, len(eval_set.pairs), _SCORE_BATCH):
+        chunk = eval_set.pairs[lo:lo + _SCORE_BATCH]
         packed = []
         for pair in chunk:
             rng_a = keyed_rng(seed, "evalpts", stable_hash(pair.obs_a), 0)

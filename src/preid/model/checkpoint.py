@@ -40,8 +40,7 @@ def save_checkpoint(model: ReidModel, path) -> None:
             f.write(np.ascontiguousarray(data, dtype="<f4").tobytes())
 
 
-def load_checkpoint(path, encoder_cfg: EncoderConfig, rtmm_cfg: RtmmConfig,
-                    dtype=np.float32) -> ReidModel:
+def load_checkpoint(path, encoder_cfg: EncoderConfig, rtmm_cfg: RtmmConfig) -> ReidModel:
     blob = Path(path).read_bytes()
     if blob[:5] != MAGIC:
         raise CheckpointError(f"{path}: bad magic {blob[:5]!r}")
@@ -56,7 +55,7 @@ def load_checkpoint(path, encoder_cfg: EncoderConfig, rtmm_cfg: RtmmConfig,
         return chunk
 
     (count,) = struct.unpack("<I", take(4, "parameter count"))
-    model = ReidModel(encoder_cfg, rtmm_cfg, seed=0, dtype=dtype)
+    model = ReidModel(encoder_cfg, rtmm_cfg, seed=0)
     seen = set()
     for _ in range(count):
         (name_len,) = struct.unpack("<H", take(2, "name length"))
@@ -75,7 +74,7 @@ def load_checkpoint(path, encoder_cfg: EncoderConfig, rtmm_cfg: RtmmConfig,
                              dtype="<f4").reshape(shape)
         if not np.isfinite(data).all():
             raise CheckpointError(f"{path}: parameter {name!r} holds non-finite values")
-        target.data = data.astype(dtype).copy() if dtype != np.float32 else data.copy()
+        target.data = data.copy()
         seen.add(name)
     if off != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - off} trailing bytes")

@@ -96,10 +96,9 @@ class _EdgeconvEncoder:
             raise ValueError(f"edgeconv needs at least k={self.k} points, got {n}")
         d2 = ((pts[..., :, None, :] - pts[..., None, :, :]) ** 2).sum(-1)
         idx = np.argsort(d2, axis=-1)[..., :self.k]                      # self included
-        neigh = np.take_along_axis(pts[..., None, :, :].repeat(n, -3),
-                                   idx[..., None].repeat(3, -1), axis=-2)
-        center = pts[..., :, None, :].repeat(self.k, -2)
-        edge = Tensor(np.concatenate([center, neigh - center], axis=-1).astype(pts.dtype))
+        neigh = np.take_along_axis(pts[..., None, :, :], idx[..., None], axis=-2)
+        center = np.broadcast_to(pts[..., :, None, :], neigh.shape)
+        edge = Tensor(np.concatenate([center, neigh - center], axis=-1))
         feat = self.mlp(edge)                                            # (B, n, k, d)
         return nn.tmax(feat, axis=-2)
 

@@ -8,7 +8,6 @@ phases.
 
 from __future__ import annotations
 
-import json
 import math
 import time
 from dataclasses import dataclass, field
@@ -17,11 +16,12 @@ from pathlib import Path
 import numpy as np
 
 from . import nn
+from .data.io import write_records
 from .data.records import ReidDataset
 from .model.checkpoint import save_checkpoint
 from .model.network import ReidModel, resample_points
 from .sampling import MATCH, even_epoch, uniform_epoch
-from .util import atomic_write, check_numbers, keyed_rng, stable_hash
+from .util import check_numbers, keyed_rng, stable_hash
 
 EVEN = "even"
 UNIFORM = "uniform"
@@ -171,65 +171,66 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     metrics_path = out_dir / "metrics.jsonl"
     # wall times differ run to run, so they stay out of metrics.jsonl, which
     # is bit-identical across seeded runs
-    timings_path = out_dir / "timings.jsonl"
+    metrics, timings = [], []
 
     step = 0
     loss_val = float("nan")
     acc_window: list[float] = []
     stopped = False
     try:
-        with atomic_write(metrics_path) as metrics, atomic_write(timings_path) as timings:
-            for epoch in range(cfg.epochs):
-                pairs = sampler(ds, cfg.seed, epoch=epoch)
-                order = keyed_rng(cfg.seed, "order", epoch).permutation(len(pairs))
-                pairs = [pairs[i] for i in order]
-                for lo in range(0, len(pairs), cfg.batch_size):
-                    batch = pairs[lo:lo + cfg.batch_size]
-                    t_pack = time.perf_counter()
-                    a, b, labels = _pack_batch(ds, batch, n_points, cfg.seed, epoch)
-                    t_forward = time.perf_counter()
-                    model.params.zero_grad()
-                    logits = model.forward_logits(a, b)
-                    loss = nn.bce_with_logits(logits, labels)
-                    loss_val = loss.item()
-                    if not math.isfinite(loss_val):
-                        raise TrainingError(
-                            f"non-finite loss at step {step}; last checkpoint kept at {ckpt_path}"
-                        )
-                    t_backward = time.perf_counter()
-                    loss.backward()
-                    t_optimizer = time.perf_counter()
-                    grad_norm = clip_gradients(model.params, cfg.clip_norm)
-                    lr = lr_at(step, total_steps, cfg)
-                    optimizer.step(lr)
-                    t_end = time.perf_counter()
-                    preds = (logits.data >= 0).astype(np.float32)
-                    acc = float((preds == labels).mean())
-                    metrics.write(json.dumps({
-                        "step": step, "epoch": epoch,
-                        "loss": round(loss_val, 8), "lr": lr,
-                        "grad_norm": round(grad_norm, 8),
-                        "batch_accuracy": acc,
-                    }) + "\n")
-                    timings.write(json.dumps({
-                        "step": step,
-                        "pack_ms": _ms(t_forward - t_pack),
-                        "forward_ms": _ms(t_backward - t_forward),
-                        "backward_ms": _ms(t_optimizer - t_backward),
-                        "optimizer_ms": _ms(t_end - t_optimizer),
-                        "pairs_per_s": round(len(batch) / (t_end - t_pack), 3),
-                    }) + "\n")
-                    step += 1
-                    acc_window = (acc_window + [acc])[-5:]
-                    if (cfg.early_stop_accuracy is not None
-                            and len(acc_window) == 5
-                            and sum(acc_window) / 5 >= cfg.early_stop_accuracy):
-                        stopped = True
-                        break
-                if stopped or (epoch + 1) % ckpt_every == 0:
-                    save_checkpoint(model, ckpt_path)
-                if stopped:
+        for epoch in range(cfg.epochs):
+            pairs = sampler(ds, cfg.seed, epoch=epoch)
+            order = keyed_rng(cfg.seed, "order", epoch).permutation(len(pairs))
+            pairs = [pairs[i] for i in order]
+            for lo in range(0, len(pairs), cfg.batch_size):
+                batch = pairs[lo:lo + cfg.batch_size]
+                t_pack = time.perf_counter()
+                a, b, labels = _pack_batch(ds, batch, n_points, cfg.seed, epoch)
+                t_forward = time.perf_counter()
+                model.params.zero_grad()
+                logits = model.forward_logits(a, b)
+                loss = nn.bce_with_logits(logits, labels)
+                loss_val = loss.item()
+                if not math.isfinite(loss_val):
+                    raise TrainingError(
+                        f"non-finite loss at step {step}; last checkpoint kept at {ckpt_path}"
+                    )
+                t_backward = time.perf_counter()
+                loss.backward()
+                t_optimizer = time.perf_counter()
+                grad_norm = clip_gradients(model.params, cfg.clip_norm)
+                lr = lr_at(step, total_steps, cfg)
+                optimizer.step(lr)
+                t_end = time.perf_counter()
+                preds = (logits.data >= 0).astype(np.float32)
+                acc = float((preds == labels).mean())
+                metrics.append({
+                    "step": step, "epoch": epoch,
+                    "loss": round(loss_val, 8), "lr": lr,
+                    "grad_norm": round(grad_norm, 8),
+                    "batch_accuracy": acc,
+                })
+                timings.append({
+                    "step": step,
+                    "pack_ms": _ms(t_forward - t_pack),
+                    "forward_ms": _ms(t_backward - t_forward),
+                    "backward_ms": _ms(t_optimizer - t_backward),
+                    "optimizer_ms": _ms(t_end - t_optimizer),
+                    "pairs_per_s": round(len(batch) / (t_end - t_pack), 3),
+                })
+                step += 1
+                acc_window = (acc_window + [acc])[-5:]
+                if (cfg.early_stop_accuracy is not None
+                        and len(acc_window) == 5
+                        and sum(acc_window) / 5 >= cfg.early_stop_accuracy):
+                    stopped = True
                     break
+            if stopped or (epoch + 1) % ckpt_every == 0:
+                save_checkpoint(model, ckpt_path)
+            if stopped:
+                break
+        write_records(metrics_path, metrics)
+        write_records(out_dir / "timings.jsonl", timings)
         save_checkpoint(model, ckpt_path)
     finally:
         model.params.set_requires_grad(False)

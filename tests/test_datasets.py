@@ -30,6 +30,7 @@ from preid.data import (
     write_gt,
 )
 from preid.data.extract import _REACH_MARGIN
+from preid.data.synthetic import _apply_dents, _sample_surface
 from preid.geometry import Box3D, canonicalize, crop, iou_3d, uncanonicalize
 
 
@@ -375,7 +376,76 @@ class TestRoundTrips:
             read_gt(tmp_path / "g.jsonl")
 
 
+def _sample_surface_loop(rng, dims, n):
+    """The per-point, per-face generator that _sample_surface replaced."""
+    l, w, h = dims
+    areas = np.array([w * h, w * h, l * h, l * h, l * w, l * w])
+    faces = rng.choice(6, size=n, p=areas / areas.sum())
+    u = rng.uniform(-0.5, 0.5, size=(n, 2))
+    pts = np.empty((n, 3))
+    for i, f in enumerate(faces):
+        a, b = u[i]
+        if f == 0:
+            pts[i] = (l / 2, a * w, b * h)
+        elif f == 1:
+            pts[i] = (-l / 2, a * w, b * h)
+        elif f == 2:
+            pts[i] = (a * l, w / 2, b * h)
+        elif f == 3:
+            pts[i] = (a * l, -w / 2, b * h)
+        elif f == 4:
+            pts[i] = (a * l, b * w, h / 2)
+        else:
+            pts[i] = (a * l, b * w, -h / 2)
+    return pts
+
+
+def _apply_dents_loop(points, dims, centers, depths, widths):
+    """The dent field accumulated one dent at a time, as _apply_dents once did."""
+    if len(points) == 0:
+        return points
+    l, w, h = dims
+    uv = np.stack([points[:, 0] / l + 0.5, points[:, 2] / h + 0.5], axis=1)
+    depth = np.zeros(len(points))
+    for c, d, s in zip(centers, depths, widths):
+        dist2 = ((uv - c) ** 2).sum(axis=1)
+        depth += d * np.exp(-dist2 / (2 * s * s))
+    shrink = np.clip(1.0 - depth[:, None], 0.55, 1.0)
+    out = points.copy()
+    out[:, :2] *= shrink
+    out[:, 2] *= shrink[:, 0]
+    return out
+
+
+_dims = st.tuples(*[st.floats(1e-3, 50.0)] * 3)
+_surface_draws = (_dims, st.integers(0, 300), st.integers(0, 2**32 - 1))
+
+
 class TestSynthetic:
+    @settings(max_examples=200, deadline=None)
+    @given(*_surface_draws)
+    def test_surface_matches_per_point_loop(self, dims, n, seed):
+        rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        pts = _sample_surface(rng, dims, n)
+        ref = _sample_surface_loop(ref_rng, dims, n)
+        assert pts.shape == ref.shape == (n, 3)
+        assert pts.tobytes() == ref.tobytes()
+        # same draws, so everything generated after the surface is unchanged
+        assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+    @settings(max_examples=200, deadline=None)
+    @given(*_surface_draws)
+    def test_dents_match_per_dent_loop(self, dims, n, seed):
+        rng = np.random.default_rng(seed)
+        points = _sample_surface_loop(rng, dims, n)
+        # centres as a deformable object's jitter leaves them, depths up to the clip
+        centers = rng.uniform(0, 1, size=(6, 2)) + rng.normal(0, 0.2, size=(6, 2))
+        depths = rng.uniform(0.0, 0.5, size=6)
+        widths = rng.uniform(0.08, 0.25, size=6)
+        out = _apply_dents(points, dims, centers, depths, widths)
+        ref = _apply_dents_loop(points, dims, centers, depths, widths)
+        assert out.tobytes() == ref.tobytes()
+
     def test_determinism(self):
         cfg = SynthConfig(n_objects={"car": 4, "bicycle": 2}, frames=3)
         a = generate_synthetic(cfg, seed=12)

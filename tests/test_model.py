@@ -89,6 +89,45 @@ class TestEncoders:
         fp = model.encode(Tensor(x[:, perm])).data
         np.testing.assert_allclose(fp, f[:, perm], atol=1e-8)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_edgeconv_gather_matches_repeat_reference(self, dtype):
+        enc = EncoderConfig(kind=EDGECONV_LITE, out_dim=16, n_points=32, hidden=[16], knn=6)
+        model = ReidModel(enc, RtmmConfig(dim=16), seed=4, dtype=dtype)
+        encoder = model.encoder
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.normal(size=(3, 32, 3)).astype(dtype))
+        out_grad = rng.normal(size=(3, 32, 16)).astype(dtype)
+
+        def reference(x):
+            # the edge builder that materialised every neighbour and centre copy
+            pts = x.data
+            n = pts.shape[-2]
+            d2 = ((pts[..., :, None, :] - pts[..., None, :, :]) ** 2).sum(-1)
+            idx = np.argsort(d2, axis=-1)[..., :encoder.k]
+            neigh = np.take_along_axis(pts[..., None, :, :].repeat(n, -3),
+                                       idx[..., None].repeat(3, -1), axis=-2)
+            center = pts[..., :, None, :].repeat(encoder.k, -2)
+            edge = Tensor(np.concatenate([center, neigh - center], axis=-1).astype(pts.dtype))
+            return nn.tmax(encoder.mlp(edge), axis=-2)
+
+        def run(encode):
+            model.params.set_requires_grad(True)
+            model.params.zero_grad()
+            out = encode(x)
+            out.backward(out_grad)
+            return out.data, {name: t.grad for name, t in model.params.items()}
+
+        out, grads = run(model.encode)
+        ref_out, ref_grads = run(reference)
+        assert out.dtype == ref_out.dtype == dtype
+        assert out.tobytes() == ref_out.tobytes()
+        assert grads.keys() == ref_grads.keys()
+        for name in ref_grads:
+            if ref_grads[name] is None:
+                assert grads[name] is None, name
+            else:
+                assert grads[name].tobytes() == ref_grads[name].tobytes(), name
+
     def test_edgeconv_too_few_points(self):
         model = ReidModel(EncoderConfig(kind=EDGECONV_LITE, knn=8), RtmmConfig(), seed=0)
         with pytest.raises(ValueError):
