@@ -5,7 +5,9 @@ scene log, build an observation dataset from logs, build an eval set, train,
 evaluate, slice accuracy by density, fit a compute-scaling power law,
 benchmark inference, and inspect dataset statistics.
 
-Every run writes a resolved_config.json capturing all effective values.
+Every command that writes output also records all effective values: a
+directory output holds resolved_config.json, and a file output such as
+pairs.jsonl gets pairs.resolved_config.json beside it.
 Flags are long-form only; a JSON config file may supply defaults and
 explicit flags win. Exit codes: 0 success, 1 usage error, 2 data/format
 error.
@@ -82,8 +84,14 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _resolved_config(out_dir, command: str, values: dict) -> None:
-    _write_json(Path(out_dir) / "resolved_config.json", {"command": command, **values})
+def _resolved_config(out, command: str, values: dict) -> None:
+    """Record a command's effective values in its output directory, or beside
+    its output file under a name derived from it, so commands that write into
+    one directory keep each other's records."""
+    out = Path(out)
+    path = out / "resolved_config.json" if out.is_dir() else \
+        out.with_name(f"{out.stem}.resolved_config.json")
+    _write_json(path, {"command": command, **values})
 
 
 def _configure(path, args, *targets) -> list:
@@ -214,7 +222,7 @@ def _cmd_make_eval_set(args) -> int:
     ev = build_eval_set(ds, max_pos_per_object=args.max_pos,
                         min_points=args.min_points, seed=args.seed)
     write_eval_set(ev, args.out)
-    _resolved_config(Path(args.out).parent, "make-eval-set", {
+    _resolved_config(args.out, "make-eval-set", {
         "dataset": str(args.dataset), "max_pos": args.max_pos,
         "min_points": args.min_points, "seed": args.seed,
         "n_pairs": len(ev.pairs), "skipped_negatives": ev.skipped_negatives,
@@ -264,7 +272,7 @@ def _cmd_eval(args) -> int:
     out = Path(args.out)
     _write_json(out, {**dataclasses.asdict(report),
                       "threshold": args.threshold, "seed": args.seed})
-    _resolved_config(out.parent, "eval", {
+    _resolved_config(out, "eval", {
         "dataset": str(args.dataset), "model": str(args.model),
         "pairs": str(args.pairs), "threshold": args.threshold, "seed": args.seed,
     })
@@ -285,7 +293,7 @@ def _cmd_curve(args) -> int:
         f.write("x,mode,accuracy,n_pairs\n")
         for x, acc, n in rows:
             f.write(f"{x},{args.mode},{acc:.6f},{n}\n")
-    _resolved_config(out.parent, "curve", {
+    _resolved_config(out, "curve", {
         "dataset": str(args.dataset), "model": str(args.model),
         "pairs": str(args.pairs), "mode": args.mode,
         "thresholds": args.thresholds, "threshold": args.threshold,
@@ -318,7 +326,7 @@ def _cmd_fit_powerlaw(args) -> int:
     }
     if args.out:
         _write_json(args.out, result)
-        _resolved_config(Path(args.out).parent, "fit-powerlaw", {
+        _resolved_config(args.out, "fit-powerlaw", {
             "points": args.points, "grid": args.grid,
         })
     print(f"err(x) = {fit.eps_inf:g} + {fit.beta:.4g} * x^{fit.c:.4g}  "
@@ -335,8 +343,8 @@ def _cmd_bench(args) -> int:
                    warmup=args.warmup, seed=args.seed)
     if args.out:
         _write_json(args.out, dataclasses.asdict(report))
-        _resolved_config(Path(args.out).parent, "bench", {
-            "model": str(args.model), "batch": args.batch,
+        _resolved_config(args.out, "bench", {
+            "model": args.model, "batch": args.batch,
             "trials": args.trials, "warmup": args.warmup, "seed": args.seed,
         })
     print(f"batch {report.batch_size}: {report.mean_ms:.2f} ms "

@@ -1,9 +1,13 @@
 """Training-time pair samplers and the density-matched eval-set builder.
 
-Even sampling draws the negative partner's density bucket from the anchor
-object's own bucket distribution, so positives and negatives share a density
+One rule says which observations may be a negative for an anchor object:
+the TPs of other objects of its class, or the FPs of its class. Even
+sampling draws a target density bucket from the anchor object's own bucket
+distribution and takes the candidates of the nearest bucket that has any
+(ties toward the lower bucket), so positives and negatives share a density
 profile and models cannot exploit point count as a shortcut. Uniform
-sampling skips the bucket conditioning.
+sampling takes the candidates of every bucket. The eval-set builder takes
+only the exact bucket of each positive's partner.
 
 Every draw uses a stream keyed by (seed, epoch, object id), so per-object
 sampling is order-independent and reproducible.
@@ -11,10 +15,12 @@ sampling is order-independent and reproducible.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .data.io import read_records, write_records
 from .data.records import FormatError, ReidDataset
+from .geometry import bucket_index
 from .util import keyed_rng, stable_hash
 
 MATCH = "MATCH"
@@ -37,6 +43,8 @@ class SamplerStats:
     self_pair: int = 0         # single-observation object paired with itself
     bucket_shift: int = 0      # negative pool empty at target bucket, moved to nearest
     no_fp_class: int = 0       # FP branch chosen but class has no false positives
+    no_tp_class: int = 0       # TP branch found no other object of the class; drew an FP
+                               # from the whole class, whatever the target bucket
     no_negative_pool: int = 0  # no negative candidate at all; emitted a positive instead
 
 
@@ -48,95 +56,68 @@ class EvalSet:
 
 
 class _Index:
-    """Per-class / per-bucket candidate pools over a dataset."""
+    """Negative candidates over a dataset, as (owner, observation id) entries:
+    the owner is the object id of a TP and None for an FP. ``by_class`` keys
+    them by (is_fp, class) and ``by_bucket`` by (is_fp, class) and then
+    bucket, both in dataset order."""
 
     def __init__(self, ds: ReidDataset, min_points: int = 1):
-        self.ds = ds
         self.objects = sorted(ds.index)
-        self.obs_of = {
-            o: [i for i in ds.index[o] if ds.get(i).n_points >= min_points]
-            for o in self.objects
-        }
-        self.tp_by_class_bucket: dict[tuple[str, int], list[tuple[str, str]]] = {}
-        self.tp_by_class: dict[str, list[tuple[str, str]]] = {}
-        self.fp_by_class_bucket: dict[tuple[str, int], list[str]] = {}
-        self.fp_by_class: dict[str, list[str]] = {}
-        for o in self.objects:
-            cls = ds.class_of[o]
-            for i in self.obs_of[o]:
-                b = ds.get(i).bucket
-                self.tp_by_class_bucket.setdefault((cls, b), []).append((o, i))
-                self.tp_by_class.setdefault(cls, []).append((o, i))
-        for cls, ids in sorted(ds.fp_index.items()):
+        self.obs_of: dict[str, list[str]] = {}
+        self.bucket_of: dict[str, int] = {}
+        self.by_class: dict[tuple[bool, str], list[tuple[str | None, str]]] = {}
+        self.by_bucket: dict[tuple[bool, str], dict[int, list[tuple[str | None, str]]]] = {}
+        owners = [(o, ds.class_of[o], ds.index[o]) for o in self.objects]
+        owners += [(None, cls, ids) for cls, ids in sorted(ds.fp_index.items())]
+        for owner, cls, ids in owners:
+            key = (owner is None, cls)
+            kept = []
             for i in ids:
-                if ds.get(i).n_points < min_points:
+                n = ds.get(i).n_points
+                if n < min_points:
                     continue
-                self.fp_by_class_bucket.setdefault((cls, ds.get(i).bucket), []).append(i)
-                self.fp_by_class.setdefault(cls, []).append(i)
+                b = self.bucket_of[i] = bucket_index(n)
+                self.by_class.setdefault(key, []).append((owner, i))
+                self.by_bucket.setdefault(key, {}).setdefault(b, []).append((owner, i))
+                kept.append(i)
+            if owner is not None:
+                self.obs_of[owner] = kept
 
-    def bucket_histogram(self, object_id: str) -> tuple[list[int], list[float]]:
-        buckets = [self.ds.get(i).bucket for i in self.obs_of[object_id]]
-        counts: dict[int, int] = {}
-        for b in buckets:
-            counts[b] = counts.get(b, 0) + 1
-        keys = sorted(counts)
-        total = len(buckets)
-        return keys, [counts[k] / total for k in keys]
+    def pool(self, is_fp: bool, cls: str, anchor: str, bucket: int | None = None,
+             stats: SamplerStats | None = None) -> list[str]:
+        """The negatives of that kind and class that `anchor` does not own.
+        With a bucket, only those of the nearest bucket that has one, ties
+        toward the lower bucket; a move off `bucket` counts in `stats`."""
+        if bucket is None:
+            return [i for o, i in self.by_class.get((is_fp, cls), ()) if o != anchor]
+        by_bucket = self.by_bucket.get((is_fp, cls), {})
+        for b in sorted(by_bucket, key=lambda b: (abs(b - bucket), b)):
+            pool = [i for o, i in by_bucket[b] if o != anchor]
+            if pool:
+                if b != bucket:
+                    stats.bucket_shift += 1
+                return pool
+        return []
 
-    def nearest_bucket(self, target: int, candidates) -> int | None:
-        """Closest bucket by |delta|, ties toward the lower index."""
-        best = None
-        for b in sorted(candidates):
-            if best is None or abs(b - target) < abs(best - target):
-                best = b
-        return best
+
+def _pick(rng, pool: list):
+    return pool[int(rng.integers(len(pool)))]
 
 
 def _sample_negative(index: _Index, rng, object_id: str, cls: str,
                      bucket: int | None, stats: SamplerStats) -> tuple[str, bool] | None:
     """Pick a negative partner (obs id, is_fp). `bucket` None means uniform."""
     want_fp = rng.random() <= 0.5
-    has_fp = cls in index.fp_by_class
+    has_fp = (True, cls) in index.by_class
     if want_fp and not has_fp:
         stats.no_fp_class += 1
         want_fp = False
-
-    if want_fp:
-        if bucket is None:
-            pool = index.fp_by_class[cls]
-            return pool[int(rng.integers(len(pool)))], True
-        buckets = [b for (c, b) in index.fp_by_class_bucket if c == cls]
-        b = index.nearest_bucket(bucket, buckets)
-        if b != bucket:
-            stats.bucket_shift += 1
-        pool = index.fp_by_class_bucket[(cls, b)]
-        return pool[int(rng.integers(len(pool)))], True
-
-    def tp_pool(b):
-        pool = index.tp_by_class_bucket.get((cls, b), []) if b is not None \
-            else index.tp_by_class.get(cls, [])
-        return [i for (o, i) in pool if o != object_id]
-
-    if bucket is None:
-        pool = tp_pool(None)
-    else:
-        buckets = [
-            b for (c, b) in index.tp_by_class_bucket
-            if c == cls and any(o != object_id for o, _ in index.tp_by_class_bucket[(c, b)])
-        ]
-        b = index.nearest_bucket(bucket, buckets)
-        if b is None:
-            pool = []
-        else:
-            if b != bucket:
-                stats.bucket_shift += 1
-            pool = tp_pool(b)
+    pool = index.pool(want_fp, cls, object_id, bucket, stats)
     if pool:
-        return pool[int(rng.integers(len(pool)))], False
+        return _pick(rng, pool), want_fp
     if has_fp:
-        # no other object of this class anywhere; fall back to an FP
-        pool = index.fp_by_class[cls]
-        return pool[int(rng.integers(len(pool)))], True
+        stats.no_tp_class += 1
+        return _pick(rng, index.pool(True, cls, object_id)), True
     return None
 
 
@@ -153,25 +134,22 @@ def _epoch(ds: ReidDataset, seed: int, epoch: int, even: bool,
         if not obs:
             continue
         cls = ds.class_of[object_id]
-        o1 = obs[int(rng.integers(len(obs)))]
+        o1 = _pick(rng, obs)
+        others = [i for i in obs if i != o1]
         if rng.random() <= 0.5:
-            others = [i for i in obs if i != o1]
-            if others:
-                o2 = others[int(rng.integers(len(others)))]
-            else:
-                o2 = o1  # degenerate object; training resamples point subsets
-                stats.self_pair += 1
-            out.append(PairSample(o1, o2, MATCH, cls))
+            if not others:
+                stats.self_pair += 1  # degenerate object; training resamples point subsets
+            out.append(PairSample(o1, _pick(rng, others) if others else o1, MATCH, cls))
             continue
         bucket = None
         if even:
-            keys, probs = index.bucket_histogram(object_id)
-            bucket = keys[int(rng.choice(len(keys), p=probs))]
+            counts = Counter(index.bucket_of[i] for i in obs)
+            keys = sorted(counts)
+            bucket = keys[int(rng.choice(len(keys), p=[counts[k] / len(obs) for k in keys]))]
         neg = _sample_negative(index, rng, object_id, cls, bucket, stats)
         if neg is None:
             stats.no_negative_pool += 1
-            others = [i for i in obs if i != o1] or [o1]
-            out.append(PairSample(o1, others[int(rng.integers(len(others)))], MATCH, cls))
+            out.append(PairSample(o1, _pick(rng, others or [o1]), MATCH, cls))
             continue
         o2, is_fp = neg
         out.append(PairSample(o1, o2, NON_MATCH, cls, is_fp_pair=is_fp))
@@ -214,9 +192,9 @@ def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
             n1, n2 = ds.get(o1).n_points, ds.get(o2).n_points
             ev.pairs.append(PairSample(o1, o2, MATCH, cls))
             ev.densities.append((n1, n2))
-            b = ds.get(o2).bucket
-            tp_pool = [i for (o, i) in index.tp_by_class_bucket.get((cls, b), []) if o != object_id]
-            fp_pool = index.fp_by_class_bucket.get((cls, b), [])
+            b = index.bucket_of[o2]  # the exact bucket, not the nearest
+            tp_pool = [i for o, i in index.by_bucket[False, cls][b] if o != object_id]
+            fp_pool = [i for _, i in index.by_bucket.get((True, cls), {}).get(b, ())]
             if tp_pool and fp_pool:
                 pool, is_fp = (fp_pool, True) if rng.random() <= 0.5 else (tp_pool, False)
             elif tp_pool:
@@ -226,7 +204,7 @@ def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
             else:
                 ev.skipped_negatives += 1
                 continue
-            o2p = pool[int(rng.integers(len(pool)))]
+            o2p = _pick(rng, pool)
             ev.pairs.append(PairSample(o1, o2p, NON_MATCH, cls, is_fp_pair=is_fp))
             ev.densities.append((n1, ds.get(o2p).n_points))
     return ev

@@ -143,6 +143,26 @@ class TestPipeline:
             cfg = json.loads((pipeline / sub / "resolved_config.json").read_text())
             assert "command" in cfg
 
+    def test_file_output_keeps_directory_config(self, pipeline, tmp_path):
+        ds = tmp_path / "ds"
+        assert main(["build-dataset", "--logs", str(pipeline / "logs"), "--out", str(ds)]) == 0
+        assert main(["make-eval-set", "--dataset", str(ds), "--out", str(ds / "pairs.jsonl")]) == 0
+        built = json.loads((ds / "resolved_config.json").read_text())
+        assert built["command"] == "build-dataset" and {"tau_c", "tau_iou"} <= set(built)
+        pairs = json.loads((ds / "pairs.resolved_config.json").read_text())
+        assert pairs["command"] == "make-eval-set" and pairs["dataset"] == str(ds)
+
+    def test_file_outputs_in_one_directory_keep_both_configs(self, pipeline, tmp_path):
+        common = ["--dataset", str(pipeline / "ds"), "--model", str(pipeline / "run"),
+                  "--pairs", str(pipeline / "pairs.jsonl")]
+        assert main(["eval", *common, "--out", str(tmp_path / "report.json")]) == 0
+        assert main(["curve", *common, "--thresholds", "2,8",
+                     "--out", str(tmp_path / "curve.csv")]) == 0
+        for stem, command in (("report", "eval"), ("curve", "curve")):
+            resolved = json.loads((tmp_path / f"{stem}.resolved_config.json").read_text())
+            assert resolved["command"] == command
+        assert not (tmp_path / "resolved_config.json").exists()
+
     def test_eval_and_report(self, pipeline, capsys):
         out = pipeline / "report.json"
         assert main(["eval", "--dataset", str(pipeline / "ds"),
@@ -176,6 +196,7 @@ class TestPipeline:
         report = json.loads(out.read_text())
         assert report["n_trials"] == 3 and len(report["samples_ms"]) == 3
         assert "pairs/sec" in capsys.readouterr().out
+        assert json.loads((tmp_path / "bench.resolved_config.json").read_text())["model"] is None
 
     @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--trials", "0"),
                                             ("--warmup", "-1")])

@@ -1,12 +1,18 @@
 """Pair samplers: bucket conditioning, fallbacks, eval-set construction."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from preid.data import Observation, ReidDataset
 from preid.sampling import (
     MATCH,
     NON_MATCH,
+    EvalSet,
+    PairSample,
     SamplerStats,
     build_eval_set,
     even_epoch,
@@ -14,6 +20,7 @@ from preid.sampling import (
     uniform_epoch,
     write_eval_set,
 )
+from preid.util import keyed_rng, stable_hash
 
 
 def make_ds(spec, fp_spec=(), cls="car", seed=0):
@@ -97,6 +104,17 @@ class TestEpochBasics:
         pairs = [p for e in range(100) for p in even_epoch(ds, 0, epoch=e, stats=stats)]
         assert stats.no_fp_class > 0
         assert all(not p.is_fp_pair for p in pairs)
+
+    def test_no_tp_class_fallback_counted(self):
+        # one object and two FPs: a TP-branch draw finds no other object and
+        # falls back to an FP of the whole class
+        ds = make_ds({"a": [8, 64]}, fp_spec=[8, 64])
+        stats = SamplerStats()
+        pairs = [p for e in range(400) for p in even_epoch(ds, 0, epoch=e, stats=stats)]
+        negatives = [p for p in pairs if p.label == NON_MATCH]
+        assert negatives and all(p.is_fp_pair for p in negatives)
+        assert 0 < stats.no_tp_class < len(negatives)
+        assert stats.no_fp_class == stats.no_negative_pool == 0
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
@@ -214,3 +232,208 @@ class TestEvalSet:
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             build_eval_set(ReidDataset())
+
+
+# -- the samplers before the one pool rule, kept as the reference ----------
+
+
+class _RefIndex:
+    def __init__(self, ds, min_points=1):
+        self.ds = ds
+        self.objects = sorted(ds.index)
+        self.obs_of = {
+            o: [i for i in ds.index[o] if ds.get(i).n_points >= min_points]
+            for o in self.objects
+        }
+        self.tp_by_class_bucket, self.tp_by_class = {}, {}
+        self.fp_by_class_bucket, self.fp_by_class = {}, {}
+        for o in self.objects:
+            cls = ds.class_of[o]
+            for i in self.obs_of[o]:
+                b = ds.get(i).bucket
+                self.tp_by_class_bucket.setdefault((cls, b), []).append((o, i))
+                self.tp_by_class.setdefault(cls, []).append((o, i))
+        for cls, ids in sorted(ds.fp_index.items()):
+            for i in ids:
+                if ds.get(i).n_points < min_points:
+                    continue
+                self.fp_by_class_bucket.setdefault((cls, ds.get(i).bucket), []).append(i)
+                self.fp_by_class.setdefault(cls, []).append(i)
+
+    def bucket_histogram(self, object_id):
+        buckets = [self.ds.get(i).bucket for i in self.obs_of[object_id]]
+        counts = {}
+        for b in buckets:
+            counts[b] = counts.get(b, 0) + 1
+        keys = sorted(counts)
+        return keys, [counts[k] / len(buckets) for k in keys]
+
+    def nearest_bucket(self, target, candidates):
+        best = None
+        for b in sorted(candidates):
+            if best is None or abs(b - target) < abs(best - target):
+                best = b
+        return best
+
+
+def _ref_sample_negative(index, rng, object_id, cls, bucket, stats):
+    want_fp = rng.random() <= 0.5
+    has_fp = cls in index.fp_by_class
+    if want_fp and not has_fp:
+        stats.no_fp_class += 1
+        want_fp = False
+    if want_fp:
+        if bucket is None:
+            pool = index.fp_by_class[cls]
+            return pool[int(rng.integers(len(pool)))], True
+        buckets = [b for (c, b) in index.fp_by_class_bucket if c == cls]
+        b = index.nearest_bucket(bucket, buckets)
+        if b != bucket:
+            stats.bucket_shift += 1
+        pool = index.fp_by_class_bucket[(cls, b)]
+        return pool[int(rng.integers(len(pool)))], True
+
+    def tp_pool(b):
+        pool = index.tp_by_class_bucket.get((cls, b), []) if b is not None \
+            else index.tp_by_class.get(cls, [])
+        return [i for (o, i) in pool if o != object_id]
+
+    if bucket is None:
+        pool = tp_pool(None)
+    else:
+        buckets = [
+            b for (c, b) in index.tp_by_class_bucket
+            if c == cls and any(o != object_id for o, _ in index.tp_by_class_bucket[(c, b)])
+        ]
+        b = index.nearest_bucket(bucket, buckets)
+        if b is None:
+            pool = []
+        else:
+            if b != bucket:
+                stats.bucket_shift += 1
+            pool = tp_pool(b)
+    if pool:
+        return pool[int(rng.integers(len(pool)))], False
+    if has_fp:
+        pool = index.fp_by_class[cls]
+        return pool[int(rng.integers(len(pool)))], True
+    return None
+
+
+def _ref_epoch(ds, seed, epoch, even, stats):
+    if not ds.index:
+        raise ValueError("dataset has no objects")
+    index = _RefIndex(ds)
+    out = []
+    for object_id in index.objects:
+        rng = keyed_rng(seed, epoch, stable_hash(object_id))
+        obs = index.obs_of[object_id]
+        if not obs:
+            continue
+        cls = ds.class_of[object_id]
+        o1 = obs[int(rng.integers(len(obs)))]
+        if rng.random() <= 0.5:
+            others = [i for i in obs if i != o1]
+            if others:
+                o2 = others[int(rng.integers(len(others)))]
+            else:
+                o2 = o1
+                stats.self_pair += 1
+            out.append(PairSample(o1, o2, MATCH, cls))
+            continue
+        bucket = None
+        if even:
+            keys, probs = index.bucket_histogram(object_id)
+            bucket = keys[int(rng.choice(len(keys), p=probs))]
+        neg = _ref_sample_negative(index, rng, object_id, cls, bucket, stats)
+        if neg is None:
+            stats.no_negative_pool += 1
+            others = [i for i in obs if i != o1] or [o1]
+            out.append(PairSample(o1, others[int(rng.integers(len(others)))], MATCH, cls))
+            continue
+        o2, is_fp = neg
+        out.append(PairSample(o1, o2, NON_MATCH, cls, is_fp_pair=is_fp))
+    return out
+
+
+def _ref_build_eval_set(ds, max_pos_per_object, min_points, seed):
+    index = _RefIndex(ds, min_points=min_points)
+    ev = EvalSet()
+    for object_id in index.objects:
+        rng = keyed_rng(seed, "eval", stable_hash(object_id))
+        obs = index.obs_of[object_id]
+        if len(obs) < 2:
+            continue
+        cls = ds.class_of[object_id]
+        all_pairs = [(obs[i], obs[j]) for i in range(len(obs)) for j in range(i + 1, len(obs))]
+        if len(all_pairs) > max_pos_per_object:
+            chosen = rng.choice(len(all_pairs), size=max_pos_per_object, replace=False)
+            pairs = [all_pairs[int(k)] for k in sorted(chosen)]
+        else:
+            pairs = all_pairs
+        for o1, o2 in pairs:
+            n1 = ds.get(o1).n_points
+            ev.pairs.append(PairSample(o1, o2, MATCH, cls))
+            ev.densities.append((n1, ds.get(o2).n_points))
+            b = ds.get(o2).bucket
+            tp_pool = [i for (o, i) in index.tp_by_class_bucket.get((cls, b), []) if o != object_id]
+            fp_pool = index.fp_by_class_bucket.get((cls, b), [])
+            if tp_pool and fp_pool:
+                pool, is_fp = (fp_pool, True) if rng.random() <= 0.5 else (tp_pool, False)
+            elif tp_pool:
+                pool, is_fp = tp_pool, False
+            elif fp_pool:
+                pool, is_fp = fp_pool, True
+            else:
+                ev.skipped_negatives += 1
+                continue
+            o2p = pool[int(rng.integers(len(pool)))]
+            ev.pairs.append(PairSample(o1, o2p, NON_MATCH, cls, is_fp_pair=is_fp))
+            ev.densities.append((n1, ds.get(o2p).n_points))
+    return ev
+
+
+_POINT_COUNTS = st.sampled_from([0, 1, 2, 3, 4, 7, 8, 15, 16, 31, 40, 64, 100, 130])
+
+
+@st.composite
+def _datasets(draw):
+    """1-3 classes, each with 0-4 objects of 1-4 observations and 0-4 FPs,
+    added in a drawn order; point counts include 0."""
+    adds = []
+    for cls in ("car", "bus", "truck")[:draw(st.integers(1, 3))]:
+        for j in range(draw(st.integers(0, 4))):
+            owner = draw(st.sampled_from(["a", "m", "z"])) + f"{cls}{j}"
+            adds += [(owner, cls, n) for n in draw(st.lists(_POINT_COUNTS, min_size=1, max_size=4))]
+        adds += [(None, cls, n) for n in draw(st.lists(_POINT_COUNTS, max_size=4))]
+    ds = ReidDataset()
+    for k in draw(st.permutations(range(len(adds)))):
+        owner, cls, n = adds[k]
+        ds.add(Observation(f"o{k:03d}", owner, cls, k, np.zeros((n, 3), np.float32), 0.9))
+    return ds
+
+
+_STATS_FIELDS = ("self_pair", "bucket_shift", "no_fp_class", "no_negative_pool")
+
+
+class TestMatchesReference:
+    """Every pair and counter is the same as the samplers' before the one pool rule."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_datasets(), st.integers(0, 2**32 - 1), st.integers(0, 50))
+    def test_epochs(self, ds, seed, epoch):
+        assume(ds.index)
+        for even, sampler in ((True, even_epoch), (False, uniform_epoch)):
+            got, want = SamplerStats(), SamplerStats()
+            for e in (epoch, epoch + 1, epoch + 2):
+                assert sampler(ds, seed, e, stats=got) == _ref_epoch(ds, seed, e, even, want)
+            assert [getattr(got, f) for f in _STATS_FIELDS] == \
+                [getattr(want, f) for f in _STATS_FIELDS]
+
+    @settings(max_examples=300, deadline=None)
+    @given(_datasets(), st.integers(0, 2**32 - 1), st.integers(1, 12), st.integers(1, 3))
+    def test_eval_set(self, ds, seed, max_pos, min_points):
+        assume(len(ds))
+        got = build_eval_set(ds, max_pos_per_object=max_pos, min_points=min_points, seed=seed)
+        want = _ref_build_eval_set(ds, max_pos, min_points, seed)
+        assert dataclasses.astuple(got) == dataclasses.astuple(want)
