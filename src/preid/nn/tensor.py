@@ -414,6 +414,24 @@ def gather(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
     return _from_op(data, (x,), backward)
 
 
+def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+    """Rows of each set: x (S, m, d) at integer index (S, k) -> (S, k, d),
+    out[s, i] = x[s, index[s, i]]; the gradient of a repeated row is summed."""
+    s, m, d = x.data.shape
+    if index.shape[:1] != (s,) or index.ndim != 2:
+        raise ShapeError(f"take_rows needs an (S, k) index for (S, m, d), "
+                         f"got {index.shape} for {x.shape}")
+    flat = (index + m * np.arange(s)[:, None]).reshape(-1)
+    data = np.take(x.data.reshape(s * m, d), flat, axis=0).reshape(index.shape + (d,))
+
+    def backward(g):
+        gx = np.zeros((s * m, d), dtype=g.dtype)
+        np.add.at(gx, flat, g.reshape(-1, d))
+        return ((x, gx.reshape(x.shape)),)
+
+    return _from_op(data, (x,), backward)
+
+
 def _gather_index(indices: np.ndarray, axis: int, ndim: int):
     idx = []
     for d in range(ndim):

@@ -188,13 +188,16 @@ def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
             pairs = [all_pairs[int(k)] for k in sorted(chosen)]
         else:
             pairs = all_pairs
+        pools = {}  # bucket -> this object's TP and FP pools, built once
         for o1, o2 in pairs:
             n1, n2 = ds.get(o1).n_points, ds.get(o2).n_points
             ev.pairs.append(PairSample(o1, o2, MATCH, cls))
             ev.densities.append((n1, n2))
             b = index.bucket_of[o2]  # the exact bucket, not the nearest
-            tp_pool = [i for o, i in index.by_bucket[False, cls][b] if o != object_id]
-            fp_pool = [i for _, i in index.by_bucket.get((True, cls), {}).get(b, ())]
+            if b not in pools:
+                pools[b] = ([i for o, i in index.by_bucket[False, cls][b] if o != object_id],
+                            [i for _, i in index.by_bucket.get((True, cls), {}).get(b, ())])
+            tp_pool, fp_pool = pools[b]
             if tp_pool and fp_pool:
                 pool, is_fp = (fp_pool, True) if rng.random() <= 0.5 else (tp_pool, False)
             elif tp_pool:

@@ -5,6 +5,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from preid import nn
 from preid.model import (
@@ -264,6 +266,77 @@ class TestSymmetryAndInvariance:
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError):
             ReidModel(EncoderConfig(out_dim=32), RtmmConfig(dim=64))
+
+
+def _full_cloud_score_batch(model, pairs):
+    """score_batch before distinct points: stacked pairs scored with full
+    clouds, slice by slice in order."""
+    a = np.stack([np.asarray(p[0], dtype=model.dtype) for p in pairs])
+    b = np.stack([np.asarray(p[1], dtype=model.dtype) for p in pairs])
+    step = model._score_slice()
+    logits = [model.forward_logits(a[lo:lo + step], b[lo:lo + step]).data
+              for lo in range(0, len(a), step)]
+    return [float(v) for v in np.concatenate(logits)]
+
+
+@st.composite
+def _scored_batches(draw):
+    """A small model of either encoder and dtype, a slice size, and a batch of
+    pairs resampled as evaluation resamples them: from sources with or
+    without repeated points and signed zeros, shuffled or not."""
+    kind = draw(st.sampled_from([POINTNET_LITE, EDGECONV_LITE]))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    n = draw(st.sampled_from([4, 5, 7, 12, 16, 20, 33, 64]))
+    dim = draw(st.sampled_from([8, 16, 32]))
+    enc = EncoderConfig(kind=kind, out_dim=dim, n_points=n, hidden=[dim], knn=4)
+    head = RtmmConfig(layers=2, dim=dim, pos_hidden=[dim], mlp_hidden=[dim])
+    model = ReidModel(enc, head, dtype=dtype)
+    step = draw(st.sampled_from([1, 2, 3, 5, 8, 16]))
+    model._score_slice = lambda: step
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    for _, t in model.params.items():  # a fresh model's zero scoring layer outputs 0
+        t.data = (t.data + rng.normal(0.0, 0.1, t.data.shape)).astype(dtype)
+    repeats, signed_zeros, shuffled = draw(st.booleans()), draw(st.booleans()), draw(st.booleans())
+    clouds = []
+    for _ in range(2 * draw(st.integers(1, 4 * step + 3))):
+        # mostly fewer source points than n, as most eval observations have
+        m = int(rng.integers(1, n + 1) if rng.random() < 0.8 else rng.integers(n + 1, 2 * n + 1))
+        src = rng.normal(size=(m, 3))
+        if repeats:
+            src = src[rng.integers(0, m, size=m)]
+        if signed_zeros:
+            src[rng.random(src.shape) < 0.3] = 0.0
+            src[rng.random(src.shape) < 0.3] = -0.0
+        cloud = resample_points(src, n, rng)
+        clouds.append(cloud[rng.permutation(n)] if shuffled else cloud)
+    return model, list(zip(clouds[::2], clouds[1::2]))
+
+
+class TestDistinctPoints:
+    """score_batch runs the per-point layers once per distinct point."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_scored_batches())
+    def test_matches_full_clouds_bit_for_bit(self, case):
+        model, pairs = case
+        assert model.score_batch(pairs) == _full_cloud_score_batch(model, pairs)
+
+    def test_distinct_rows_by_bit_pattern(self):
+        x = np.array([[[0, 1, 2], [-0.0, 1, 2], [0, 1, 2], [3, 3, 3]]], dtype=np.float32)
+        order, count, inverse = network._distinct_rows(x)
+        assert count.tolist() == [3]
+        assert order[0, :3].tolist() == [0, 1, 3]
+        assert inverse.tolist() == [[0, 1, 0, 2]]
+
+    def test_row_map_padding(self):
+        order = np.arange(24)[None].repeat(3, 0)
+        inverse = np.zeros((3, 24), dtype=int)
+        at = np.array([0, 2])
+        picked, _ = network._slice_rows(order, np.array([3, 24, 9]), inverse, at)
+        assert picked.shape == (2, 16)
+        # picking every row saves nothing, and partial row blocks get no map
+        assert network._slice_rows(order, np.array([3, 24, 17]), inverse, at) is None
+        assert network._slice_rows(order[:, :20], np.array([3, 20, 3]), inverse, at) is None
 
 
 class TestModelGradients:

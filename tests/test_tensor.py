@@ -119,6 +119,13 @@ class TestGradients:
         idx = np.array([[0, 2], [1, 1], [3, 0]])
         check_grad(lambda x: nn.gather(x, idx, axis=1), [(3, 4)])
 
+    def test_take_rows_gradcheck(self):
+        # repeated rows sum their gradients; row 3 of the second set is never taken
+        idx = np.array([[0, 2, 2, 1, 0], [3, 0, 1, 1, 0]])
+        check_grad(lambda x: nn.take_rows(x, idx), [(2, 4, 3)])
+        out = nn.take_rows(Tensor(np.arange(24.0).reshape(2, 4, 3)), idx).data
+        np.testing.assert_array_equal(out, np.arange(24.0).reshape(2, 4, 3)[[[0], [1]], idx])
+
     def test_tmax_tie_splitting(self):
         x = Tensor(np.array([[2.0, 2.0, 1.0]], dtype=np.float64), requires_grad=True)
         nn.tsum(nn.tmax(x, axis=1)).backward()
