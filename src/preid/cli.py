@@ -94,15 +94,25 @@ def _resolved_config(out, command: str, values: dict) -> None:
     _write_json(path, {"command": command, **values})
 
 
-def _configure(path, args, *targets) -> list:
+# config-file keys that are not their field's name: the flags carry these
+# names, and "dim" sets both the encoder's output width and the head's width
+_RENAMED_KEYS = {"kind": "encoder", "out_dim": "dim"}
+
+
+def _keys(cls) -> dict[str, str]:
+    """Map each config-file key of a config dataclass to the field it sets."""
+    return {_RENAMED_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+
+
+def _configure(path, args, *bases) -> list:
     """Build config objects from a JSON config file and explicit flags.
 
-    Each target is ``(base, keys)``: a library dataclass instance (a preset
-    or the defaults) and a map from config-file key to the field of ``base``
-    that the key sets. A key is also the argparse dest of its flag, if it
-    has one. File values replace the base's and explicit flags replace
-    both, via ``dataclasses.replace``. A file key that no target knows, or
-    a value that the dataclass rejects, is a ConfigError naming the file.
+    Each base is a library dataclass instance (a preset or the defaults).
+    Every field is set by the config-file key of its own name (``_keys``),
+    which is also the argparse dest of its flag, if it has one. File values
+    replace the base's and explicit flags replace both, via
+    ``dataclasses.replace``. A file key that no base knows, or a value that
+    the dataclass rejects, is a ConfigError naming the file.
     """
     config = {}
     if path is not None:
@@ -112,15 +122,15 @@ def _configure(path, args, *targets) -> list:
             raise FormatError(f"{path}: bad JSON config ({e})") from e
         if not isinstance(config, dict):
             raise FormatError(f"{path}: config must be a JSON object")
-        known = {key for _, keys in targets for key in keys}
+        known = {key for base in bases for key in _keys(type(base))}
         for key in config:
             if key not in known:
                 raise ConfigError(f"{path}: unknown config key {key!r}; "
                                   f"known keys: {', '.join(sorted(known))}")
     out = []
-    for base, keys in targets:
+    for base in bases:
         values = {}
-        for key, field in keys.items():
+        for key, field in _keys(type(base)).items():
             flag = getattr(args, key, None)
             if flag is not None:
                 values[field] = flag
@@ -174,26 +184,18 @@ _SYNTH_PRESETS = {
     "benchmark": SynthConfig.benchmark,
     "separable": SynthConfig.separable,
 }
-_SYNTH_KEYS = {f.name: f.name for f in dataclasses.fields(SynthConfig)}
-
-# train config-file keys (also the dests of their flags) per config object;
-# "dim" sets both the encoder's output width and the head's width
-_ENCODER_KEYS = {"encoder": "kind", "dim": "out_dim", "n_points": "n_points"}
-_RTMM_KEYS = {"dim": "dim", "layers": "layers"}
-_TRAIN_KEYS = {key: key for key in ("lr_base", "weight_decay", "clip_norm",
-                                    "batch_size", "epochs", "sampler")}
 
 
 def _cmd_gen_synthetic(args) -> int:
-    (cfg,) = _configure(args.config, args,
-                        (_SYNTH_PRESETS[args.preset](), _SYNTH_KEYS))
+    (cfg,) = _configure(args.config, args, _SYNTH_PRESETS[args.preset]())
     detections, gt, frame_points = generate_synthetic(cfg, args.seed)
     out = Path(args.out)
     write_detections(detections, out / "detections.jsonl")
     write_gt(gt, out / "gt.jsonl")
     write_frames(frame_points, out)
     _resolved_config(out, "gen-synthetic", {
-        "seed": args.seed, "preset": args.preset, **dataclasses.asdict(cfg),
+        "seed": args.seed, "preset": args.preset, "config": args.config,
+        **dataclasses.asdict(cfg),
     })
     print(f"wrote {len(detections)} detections over {cfg.frames} frames to {out}")
     return 0
@@ -233,19 +235,14 @@ def _cmd_make_eval_set(args) -> int:
 
 def _cmd_train(args) -> int:
     encoder_cfg, rtmm_cfg, train_cfg = _configure(
-        args.config, args,
-        (EncoderConfig(), _ENCODER_KEYS),
-        (RtmmConfig(), _RTMM_KEYS),
-        (TrainConfig(seed=args.seed, early_stop_accuracy=args.early_stop_accuracy),
-         _TRAIN_KEYS),
-    )
+        args.config, args, EncoderConfig(), RtmmConfig(), TrainConfig())
     ds = read_dataset(args.dataset)
-    model = ReidModel(encoder_cfg, rtmm_cfg, seed=args.seed)
+    model = ReidModel(encoder_cfg, rtmm_cfg, seed=train_cfg.seed)
     report = train(model, ds, train_cfg, args.out)
     with atomic_write(Path(args.out) / "model_config.json") as f:
         f.write(config_to_json(encoder_cfg, rtmm_cfg))
     _resolved_config(args.out, "train", {
-        "dataset": str(args.dataset), "seed": args.seed,
+        "dataset": str(args.dataset), "config": args.config, "seed": train_cfg.seed,
         "encoder": dataclasses.asdict(encoder_cfg),
         "rtmm": dataclasses.asdict(rtmm_cfg),
         "train": dataclasses.asdict(train_cfg),
@@ -436,9 +433,10 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("train", help="train a matching model")
     p.add_argument("--dataset", required=True, help="dataset directory")
     p.add_argument("--out", required=True, help="run output directory")
-    train_keys = ", ".join({**_ENCODER_KEYS, **_RTMM_KEYS, **_TRAIN_KEYS})
-    p.add_argument("--config", help=f"JSON file with the keys {train_keys}; explicit flags win")
-    p.add_argument("--seed", type=int, default=0, help="training seed")
+    p.add_argument("--config", help="JSON file whose keys are the field names of EncoderConfig, "
+                   "RtmmConfig and TrainConfig, except that encoder sets kind and dim sets "
+                   "out_dim and dim; explicit flags win")
+    p.add_argument("--seed", type=int, help=f"model and training seed (default {TrainConfig.seed})")
     p.add_argument("--epochs", type=int, help="training epochs")
     p.add_argument("--batch-size", type=int, help="pairs per optimizer step")
     p.add_argument("--lr", dest="lr_base", metavar="LR", type=float, help="base learning rate")

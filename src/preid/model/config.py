@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from ..util import check_numbers
 
@@ -22,6 +22,8 @@ class EncoderConfig:
 
     def __post_init__(self):
         check_numbers(self, {"in_dim": 1, "out_dim": 1, "n_points": 1, "hidden": 1, "knn": 1})
+        if self.in_dim != 3:
+            raise ValueError(f"in_dim must be 3, for xyz points, got {self.in_dim}")
         if self.kind not in (POINTNET_LITE, EDGECONV_LITE):
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.kind == EDGECONV_LITE and self.n_points < self.knn:
@@ -46,20 +48,17 @@ def config_to_json(encoder: EncoderConfig, rtmm: RtmmConfig) -> str:
 
 
 def config_from_json(text: str) -> tuple[EncoderConfig, RtmmConfig]:
-    """Parse model_config.json. Bad JSON, a missing section, an unknown key,
-    a value of another JSON type than its field's default or one that the
-    config's own checks reject is a ValueError."""
+    """Parse model_config.json. Bad JSON, a missing section, an unknown key
+    or a value that the config's own checks reject is a ValueError."""
     obj = json.loads(text)
     configs = []
     for section, cls in (("encoder", EncoderConfig), ("rtmm", RtmmConfig)):
         values = obj.get(section) if isinstance(obj, dict) else None
-        defaults = asdict(cls())
         if not isinstance(values, dict):
             raise ValueError(f"section {section!r} is missing or not a JSON object")
-        for key, value in values.items():
-            if key not in defaults:
+        known = {f.name for f in fields(cls)}
+        for key in values:
+            if key not in known:
                 raise ValueError(f"unknown key {section}.{key}")
-            if type(value) is not type(defaults[key]):
-                raise ValueError(f"{section}.{key} must be like {defaults[key]!r}, got {value!r}")
         configs.append(cls(**values))
     return configs[0], configs[1]

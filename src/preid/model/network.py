@@ -284,4 +284,4 @@ def _slice_rows(order, count, inverse, at):
 
 
 def _take(t: Tensor, index) -> Tensor:
-    return t if index is None else nn.take_rows(t, index)
+    return t if index is None else nn.gather(t, index)

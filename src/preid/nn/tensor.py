@@ -402,24 +402,12 @@ def swapaxes(x: Tensor, a1: int, a2: int) -> Tensor:
     return _from_op(data, (x,), lambda g: ((x, np.swapaxes(g, a1, a2)),))
 
 
-def gather(x: Tensor, indices: np.ndarray, axis: int) -> Tensor:
-    """take_along_axis with scatter-add gradient (indices are not taped)."""
-    data = np.take_along_axis(x.data, indices, axis=axis)
-
-    def backward(g):
-        gx = np.zeros_like(x.data)
-        np.add.at(gx, _gather_index(indices, axis, x.data.ndim), g)
-        return ((x, gx),)
-
-    return _from_op(data, (x,), backward)
-
-
-def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
+def gather(x: Tensor, index: np.ndarray) -> Tensor:
     """Rows of each set: x (S, m, d) at integer index (S, k) -> (S, k, d),
     out[s, i] = x[s, index[s, i]]; the gradient of a repeated row is summed."""
     s, m, d = x.data.shape
     if index.shape[:1] != (s,) or index.ndim != 2:
-        raise ShapeError(f"take_rows needs an (S, k) index for (S, m, d), "
+        raise ShapeError(f"gather needs an (S, k) index for (S, m, d), "
                          f"got {index.shape} for {x.shape}")
     flat = (index + m * np.arange(s)[:, None]).reshape(-1)
     data = np.take(x.data.reshape(s * m, d), flat, axis=0).reshape(index.shape + (d,))
@@ -430,18 +418,6 @@ def take_rows(x: Tensor, index: np.ndarray) -> Tensor:
         return ((x, gx.reshape(x.shape)),)
 
     return _from_op(data, (x,), backward)
-
-
-def _gather_index(indices: np.ndarray, axis: int, ndim: int):
-    idx = []
-    for d in range(ndim):
-        if d == axis:
-            idx.append(indices)
-        else:
-            shape = [1] * indices.ndim
-            shape[d] = indices.shape[d]
-            idx.append(np.arange(indices.shape[d]).reshape(shape))
-    return tuple(idx)
 
 
 # -- composite layers ----------------------------------------------------

@@ -1,16 +1,18 @@
 """Training loop: BCE objective, AdamW, one-cycle LR schedule, clipping.
 
 One epoch is one pass over every unique object in the dataset (one sampled
-pair each). The schedule rises from the base learning rate to 10x over the
-first 40% of steps and decays to 1e-4x over the remainder, cosine in both
-phases.
+pair each). The schedule is set by three ``TrainConfig`` fields: it rises
+from ``lr_base`` to ``target_ratio_up`` times it (default 10x) over the
+first ``step_ratio_up`` share of steps (default 40%), then decays to
+``target_ratio_down`` times it (default 1e-4x) over the remainder, cosine
+in both phases.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -32,34 +34,29 @@ class TrainingError(RuntimeError):
 
 
 @dataclass
-class ScheduleConfig:
-    target_ratio_up: float = 10.0
-    target_ratio_down: float = 1e-4
-    step_ratio_up: float = 0.4
-
-    def __post_init__(self):
-        if not (0.0 < self.step_ratio_up < 1.0):
-            raise ValueError("step_ratio_up must lie in (0, 1)")
-
-
-@dataclass
 class TrainConfig:
     lr_base: float = 3e-4
     weight_decay: float = 0.01
     clip_norm: float = 1.0
     batch_size: int = 256
     epochs: int = 100
-    schedule: ScheduleConfig = field(default_factory=ScheduleConfig)
+    target_ratio_up: float = 10.0    # peak learning rate / lr_base
+    target_ratio_down: float = 1e-4  # final learning rate / lr_base
+    step_ratio_up: float = 0.4       # share of the steps spent rising
     seed: int = 0
     sampler: str = EVEN
     early_stop_accuracy: float | None = None   # stop once the running batch
                                                # accuracy reaches this level
 
     def __post_init__(self):
-        check_numbers(self, {"batch_size": 1, "epochs": 1},
-                      ("lr_base", "weight_decay", "clip_norm"))
+        early_stop = () if self.early_stop_accuracy is None else ("early_stop_accuracy",)
+        check_numbers(self, {"batch_size": 1, "epochs": 1, "seed": 0},
+                      ("lr_base", "weight_decay", "clip_norm", "target_ratio_up",
+                       "target_ratio_down", "step_ratio_up", *early_stop))
         if self.clip_norm <= 0:
             raise ValueError("clip_norm must be positive")
+        if not (0.0 < self.step_ratio_up < 1.0):
+            raise ValueError("step_ratio_up must lie in (0, 1)")
         if self.sampler not in (EVEN, UNIFORM):
             raise ValueError(f"unknown sampler {self.sampler!r}")
 
@@ -110,9 +107,9 @@ def lr_at(step: int, total_steps: int, cfg: TrainConfig) -> float:
     if not (0 <= step <= total_steps):
         raise ValueError(f"step {step} outside [0, {total_steps}]")
     base = cfg.lr_base
-    peak = base * cfg.schedule.target_ratio_up
-    floor = base * cfg.schedule.target_ratio_down
-    up = cfg.schedule.step_ratio_up * total_steps
+    peak = base * cfg.target_ratio_up
+    floor = base * cfg.target_ratio_down
+    up = cfg.step_ratio_up * total_steps
     if step <= up:
         t = step / up if up > 0 else 1.0
         return base + (peak - base) * (1 - math.cos(math.pi * t)) / 2

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import math
 import os
@@ -50,10 +51,17 @@ class ConfigError(ValueError):
 
 
 def check_numbers(cfg, ints: dict[str, int], reals: tuple[str, ...] = ()) -> None:
-    """Check the numeric fields of a config dataclass. Each field named in
-    ``ints`` must hold an int of at least the given minimum, and each named
-    in ``reals`` a finite int or float; a bool is neither. A list or dict
-    field is checked item by item. Raises a ConfigError naming the field."""
+    """Check the fields of a config dataclass. A field whose default is a
+    list or a dict (built by its default factory) must hold a value of that
+    type. Each field named in ``ints`` must hold an int of at least the
+    given minimum, and each named in ``reals`` a finite int or float; a bool
+    is neither. A list or dict field is checked item by item. Raises a
+    ConfigError naming the field."""
+    for f in dataclasses.fields(cfg):
+        if f.default_factory is not dataclasses.MISSING:
+            kind, value = type(f.default_factory()), getattr(cfg, f.name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{f.name}: {value!r} is not a {kind.__name__}")
     for name in (*ints, *reals):
         value = getattr(cfg, name)
         items = value.values() if isinstance(value, dict) else \

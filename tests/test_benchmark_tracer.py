@@ -44,3 +44,17 @@ def test_instrument_and_restore():
     assert tracer.counts["nn.taped_ops"] == 0  # inference keeps no tape
     assert (preid.cli.main, preid.cli.read_dataset, preid.nn.matmul,
             preid.nn.tensor.layer_norm, ReidModel.encode) == originals
+
+
+def test_row_gathers_are_traced():
+    model = ReidModel(EncoderConfig(out_dim=8, n_points=16, hidden=[8]),
+                      RtmmConfig(layers=1, dim=8, pos_hidden=[8], mlp_hidden=[8]))
+    # 4 distinct points in 16 rows, so score_batch picks and expands rows
+    clouds = np.random.default_rng(0).normal(size=(4, 4, 3)).repeat(4, axis=1)
+    tracer = load_tracer().Tracer()
+    tracer.instrument()
+    try:
+        model.score_batch(list(zip(clouds, clouds[::-1])))
+    finally:
+        tracer.restore()
+    assert "nn.gather" in {span[0] for span in tracer.spans}

@@ -8,6 +8,7 @@ import math
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 import preid.cli
@@ -21,9 +22,10 @@ from preid.data import (
     write_gt,
 )
 from preid.evaluation import bench, evaluate, predict_pairs
-from preid.model import EncoderConfig, RtmmConfig
+from preid.model import EncoderConfig, ReidModel, RtmmConfig
 from preid.sampling import build_eval_set
 from preid.training import TrainConfig, TrainReport
+from test_acceptance import BENCH_ENCODER, BENCH_HEAD, BENCH_TRAIN
 
 
 LOG_FILES = ("detections.jsonl", "gt.jsonl", "frames.bin", "frames.jsonl")
@@ -92,6 +94,7 @@ MALFORMED_MODEL_CONFIGS = {
     "missing section": lambda cfg: {"encoder": cfg["encoder"]},
     "wrong type": lambda cfg: {**cfg, "rtmm": {**cfg["rtmm"], "layers": "1"}},
     "zero n_points": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "n_points": 0}},
+    "non-list hidden": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "hidden": 8}},
 }
 
 # config-file values that the config dataclasses reject, per command
@@ -101,10 +104,32 @@ BAD_CONFIG_VALUES = [
     ("train", {"epochs": True}),
     ("train", {"dim": "8"}),
     ("train", {"lr_base": "x"}),
+    ("train", {"hidden": 32}),
+    ("train", {"pos_hidden": {"a": 1}}),
+    ("train", {"in_dim": 4}),
+    ("train", {"target_ratio_up": math.nan}),
+    ("train", {"step_ratio_up": 1.5}),
+    ("train", {"seed": 2.5}),
+    ("train", {"early_stop_accuracy": "x"}),
     ("gen-synthetic", {"frames": 2.5}),
     ("gen-synthetic", {"n_objects": {"car": "2"}}),
     ("gen-synthetic", {"n_objects": {"car": -1}}),
+    ("gen-synthetic", {"n_objects": 5}),
 ]
+
+# a train config file that builds criterion 7's model and training run
+# (tests/test_acceptance.py: BENCH_ENCODER, BENCH_HEAD, BENCH_TRAIN)
+CRITERION_7_CONFIG = {
+    "dim": 32, "n_points": 64, "hidden": [32],
+    "layers": 2, "pos_hidden": [32], "mlp_hidden": [32], "res_hidden": 64,
+    "batch_size": 63, "epochs": 300, "lr_base": 1e-3, "seed": 0,
+}
+
+
+def assert_same_params(model, other):
+    assert model.params.names() == other.params.names()
+    for (_, t), (_, want) in zip(model.params.items(), other.params.items()):
+        np.testing.assert_array_equal(t.data, want.data)
 
 
 def signature_defaults(fn):
@@ -456,6 +481,7 @@ class TestConfigOverrides:
         resolved = json.loads((tmp_path / "resolved_config.json").read_text())
         for key in ("command", "seed", "preset"):
             del resolved[key]
+        assert resolved.pop("config") is None   # no --config file was read
         assert resolved == dataclasses.asdict(build())
 
     def test_benchmark_logs_match_library(self, tmp_path):
@@ -519,3 +545,47 @@ class TestTrainConfig:
         assert model.rtmm_cfg == RtmmConfig(layers=1, dim=12)
         assert got == TrainConfig(lr_base=0.01, weight_decay=0.0, clip_norm=2.0, batch_size=4,
                                   epochs=3, sampler="uniform", seed=5)
+
+    def _train(self, pipeline, run, config, *flags):
+        cfg = run.parent / "cfg.json"
+        cfg.write_text(json.dumps(config))
+        return main(["train", "--dataset", str(pipeline / "ds"), "--out", str(run),
+                     "--config", str(cfg), *flags])
+
+    def test_every_field_is_a_config_key(self, pipeline, tmp_path, fake_train):
+        encoder = EncoderConfig(kind="edgeconv_lite", out_dim=12, n_points=16,
+                                hidden=[8, 4], knn=5)
+        rtmm = RtmmConfig(layers=1, dim=12, pos_hidden=[6], mlp_hidden=[7, 3], res_hidden=9)
+        train_cfg = TrainConfig(lr_base=0.002, weight_decay=0.0, clip_norm=2.0, batch_size=4,
+                                epochs=3, target_ratio_up=5.0, target_ratio_down=0.01,
+                                step_ratio_up=0.3, seed=4, sampler="uniform",
+                                early_stop_accuracy=0.9)
+        # every field but in_dim, which takes only 3, is set away from its default
+        for obj in (encoder, rtmm, train_cfg):
+            for f in dataclasses.fields(obj):
+                assert f.name == "in_dim" or getattr(obj, f.name) != getattr(type(obj)(), f.name)
+        config = {**dataclasses.asdict(encoder), **dataclasses.asdict(rtmm),
+                  **dataclasses.asdict(train_cfg)}
+        config["encoder"] = config.pop("kind")
+        assert config.pop("out_dim") == config["dim"]   # dim sets both widths
+        assert self._train(pipeline, tmp_path / "run", config) == 0
+        model, got = fake_train["model"], fake_train["cfg"]
+        assert (model.encoder_cfg, model.rtmm_cfg, got) == (encoder, rtmm, train_cfg)
+        resolved = self._resolved(tmp_path / "run")
+        assert resolved["config"] == str(tmp_path / "cfg.json")
+        assert resolved["train"] == dataclasses.asdict(train_cfg)
+
+    def test_criterion_7_model_from_config(self, pipeline, tmp_path, fake_train):
+        assert self._train(pipeline, tmp_path / "run", CRITERION_7_CONFIG) == 0
+        model, got = fake_train["model"], fake_train["cfg"]
+        assert (model.encoder_cfg, model.rtmm_cfg) == (BENCH_ENCODER, BENCH_HEAD)
+        assert got == TrainConfig(**BENCH_TRAIN)
+        assert_same_params(model, ReidModel(BENCH_ENCODER, BENCH_HEAD, seed=BENCH_TRAIN["seed"]))
+
+    @pytest.mark.parametrize("flags, seed", [([], 4), (["--seed", "5"], 5)])
+    def test_file_seed_and_flag_override(self, pipeline, tmp_path, fake_train, flags, seed):
+        assert self._train(pipeline, tmp_path / "run", {"seed": 4}, *flags) == 0
+        model, got = fake_train["model"], fake_train["cfg"]
+        assert got == TrainConfig(seed=seed)
+        assert_same_params(model, ReidModel(EncoderConfig(), RtmmConfig(), seed=seed))
+        assert self._resolved(tmp_path / "run")["seed"] == seed

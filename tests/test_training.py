@@ -12,7 +12,6 @@ from preid.model import EncoderConfig, ReidModel, RtmmConfig, load_checkpoint
 from preid.nn import Tensor
 from preid.training import (
     AdamW,
-    ScheduleConfig,
     TrainConfig,
     TrainingError,
     clip_gradients,
@@ -77,7 +76,7 @@ class TestAdamW:
 
 class TestSchedule:
     def _cfg(self):
-        return TrainConfig(lr_base=3e-4, schedule=ScheduleConfig())
+        return TrainConfig(lr_base=3e-4)
 
     def test_endpoints(self):
         cfg = self._cfg()
@@ -100,7 +99,7 @@ class TestSchedule:
 
     def test_bad_step_ratio(self):
         with pytest.raises(ValueError):
-            ScheduleConfig(step_ratio_up=1.5)
+            TrainConfig(step_ratio_up=1.5)
 
 
 class TestClipping:
