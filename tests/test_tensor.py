@@ -116,6 +116,13 @@ class TestGradients:
         check_grad(op, shapes)
 
     def test_gather_gradcheck(self):
+        # fewer rows taken than each set holds, one row taken twice; d = 1
+        idx = np.array([[0, 2], [1, 1], [3, 0]])
+        check_grad(lambda x: nn.gather(x, idx), [(3, 4, 1)])
+        with pytest.raises(ShapeError):
+            nn.gather(Tensor(np.zeros((3, 4, 1))), idx[:2])
+
+    def test_take_rows_gradcheck(self):
         # repeated rows sum their gradients; row 3 of the second set is never taken
         idx = np.array([[0, 2, 2, 1, 0], [3, 0, 1, 1, 0]])
         check_grad(lambda x: nn.gather(x, idx), [(2, 4, 3)])
