@@ -53,7 +53,7 @@ class SynthConfig:
     def __post_init__(self):
         check_numbers(self, {"n_objects": 0, "frames": 1},
                       ("lam", "sigma_center", "sigma_yaw", "fp_rate", "articulation",
-                       "dim_spread", "sensor_noise"))
+                       "dim_spread", "sensor_noise"), listable=("lam",))
         lams = self.lam if isinstance(self.lam, list) else [self.lam]
         if not lams or any(l <= 0 for l in lams):
             raise ConfigError(f"lam must be positive, got {self.lam}")

@@ -50,22 +50,29 @@ class ConfigError(ValueError):
     """A configuration value is unknown, of the wrong type or out of range."""
 
 
-def check_numbers(cfg, ints: dict[str, int], reals: tuple[str, ...] = ()) -> None:
+def check_numbers(cfg, ints: dict[str, int], reals: tuple[str, ...] = (),
+                  listable: tuple[str, ...] = ()) -> None:
     """Check the fields of a config dataclass. A field whose default is a
     list or a dict (built by its default factory) must hold a value of that
     type. Each field named in ``ints`` must hold an int of at least the
     given minimum, and each named in ``reals`` a finite int or float; a bool
-    is neither. A list or dict field is checked item by item. Raises a
-    ConfigError naming the field."""
+    is neither. A list or dict field is checked item by item, and so is a
+    list in a field named in ``listable``; any other field is checked as
+    one value, so a list or dict there is an error. Raises a ConfigError
+    naming the field."""
+    containers = set()
     for f in dataclasses.fields(cfg):
         if f.default_factory is not dataclasses.MISSING:
             kind, value = type(f.default_factory()), getattr(cfg, f.name)
             if not isinstance(value, kind):
                 raise ConfigError(f"{f.name}: {value!r} is not a {kind.__name__}")
+            containers.add(f.name)
     for name in (*ints, *reals):
         value = getattr(cfg, name)
-        items = value.values() if isinstance(value, dict) else \
-            value if isinstance(value, list) else [value]
+        if name in containers:
+            items = value.values() if isinstance(value, dict) else value
+        else:
+            items = value if name in listable and isinstance(value, list) else [value]
         kind, want = (int, "an int") if name in ints else ((int, float), "a number")
         for v in items:
             if isinstance(v, bool) or not isinstance(v, kind):

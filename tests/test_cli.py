@@ -95,6 +95,7 @@ MALFORMED_MODEL_CONFIGS = {
     "wrong type": lambda cfg: {**cfg, "rtmm": {**cfg["rtmm"], "layers": "1"}},
     "zero n_points": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "n_points": 0}},
     "non-list hidden": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "hidden": 8}},
+    "list layers": lambda cfg: {**cfg, "rtmm": {**cfg["rtmm"], "layers": [2]}},
 }
 
 # config-file values that the config dataclasses reject, per command
@@ -109,12 +110,15 @@ BAD_CONFIG_VALUES = [
     ("train", {"in_dim": 4}),
     ("train", {"target_ratio_up": math.nan}),
     ("train", {"step_ratio_up": 1.5}),
+    ("train", {"target_ratio_up": [5.0]}),
+    ("train", {"knn": [8]}),
     ("train", {"seed": 2.5}),
     ("train", {"early_stop_accuracy": "x"}),
     ("gen-synthetic", {"frames": 2.5}),
     ("gen-synthetic", {"n_objects": {"car": "2"}}),
     ("gen-synthetic", {"n_objects": {"car": -1}}),
     ("gen-synthetic", {"n_objects": 5}),
+    ("gen-synthetic", {"lam": {"a": 1.0}}),
 ]
 
 # a train config file that builds criterion 7's model and training run

@@ -500,3 +500,5 @@ class TestSynthetic:
             SynthConfig(n_objects={"dragon": 1})
         with pytest.raises(ConfigError):
             SynthConfig(frames=0)
+        with pytest.raises(ConfigError, match="lam"):
+            SynthConfig(lam={"a": 1.0})
