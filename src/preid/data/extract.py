@@ -2,9 +2,9 @@
 
 Per frame: score-gate detections, IoU-match them one-to-one to GT boxes,
 keep matched detections as true positives, discard duplicates overlapping an
-already-claimed GT, keep the rest as false positives, then crop and
-canonicalize scene points using the *detected* box so detector noise is
-preserved in the observation.
+already-claimed GT, keep the rest as false positives, then crop scene points
+into the frame of the *detected* box, so detector noise is preserved in the
+observation; :func:`crop` returns the box-frame points it tested.
 
 Each frame is indexed once: a stable argsort of its points' x coordinate.
 A detection's box lies inside the vertical cylinder of its circumscribed
@@ -23,6 +23,7 @@ import math
 
 import numpy as np
 
+# canonicalize is unused here, but perfbench/tracer.py wraps it by this name
 from ..geometry import Box3D, canonicalize, crop, hungarian, iou_3d
 from .records import DetectionRecord, GtTrackRecord, Observation, ReidDataset
 
@@ -38,13 +39,6 @@ class InputError(ValueError):
 
 def _bev_radius(box: Box3D) -> float:
     return 0.5 * math.hypot(box.size[0], box.size[1])
-
-
-def _crop_canonical(points: np.ndarray, box: Box3D) -> np.ndarray:
-    kept = crop(points, box)
-    if len(kept) == 0:
-        return kept.astype(np.float32)
-    return canonicalize(kept, box).astype(np.float32)
 
 
 def extract_observations(
@@ -110,7 +104,7 @@ def extract_observations(
                 object_id = None
             cand = np.sort(order[lo[r]:hi[r]])
             cand = cand[np.abs(points[cand, 1] - det_xy[r, 1]) <= reach[r]]
-            canon = _crop_canonical(points[cand], det.box)
+            canon = crop(points[cand], det.box).astype(np.float32)
             if len(canon) == 0:
                 continue
             ds.add(Observation(

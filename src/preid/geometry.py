@@ -37,11 +37,14 @@ class Box3D:
         l, w, h = self.size
         return l * w * h
 
-    def bev_corners(self) -> np.ndarray:
-        """Corners of the yaw-rotated footprint rectangle, shape (4, 2), CCW."""
+    def bev_corners(self) -> list[tuple[float, float]]:
+        """The footprint's four (x, y) corners, CCW, rotated as floats by
+        :func:`_rotate_yaw`, so each rounds as :func:`uncanonicalize` would."""
         l, w, _ = self.size
-        local = np.array([[l, w], [-l, w], [-l, -w], [l, -w]]) * 0.5
-        return _rotate_yaw(local, self.yaw) + np.asarray(self.center[:2])
+        cx, cy, _ = self.center
+        rotated = [_rotate_yaw(lx * 0.5, ly * 0.5, self.yaw)
+                   for lx, ly in ((l, w), (-l, w), (-l, -w), (l, -w))]
+        return [(x + cx, y + cy) for x, y in rotated]
 
 
 @dataclass
@@ -84,8 +87,8 @@ def _polygon_area(poly: list) -> float:
 
 def iou_3d(a: Box3D, b: Box3D) -> float:
     """Oriented 3D IoU in [0, 1]; shared-face contact counts as 0."""
-    poly = a.bev_corners().tolist()
-    clip = b.bev_corners().tolist()
+    poly = a.bev_corners()
+    clip = b.bev_corners()
     for i in range(4):
         poly = _clip_polygon(poly, clip[i], clip[(i + 1) % 4])
         if not poly:
@@ -113,38 +116,34 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs, float(cost[rows, cols].sum()))
 
 
-def _rotate_yaw(pts: np.ndarray, yaw: float) -> np.ndarray:
-    """Rotate the x, y columns of float64 ``pts`` about z by ``yaw``, in place.
-    Elementwise, so each row rounds the same in any batch; pass only an
-    array made for the call, never the caller's input."""
+def _rotate_yaw(x, y, yaw: float):
+    """Rotate (x, y) about z by ``yaw``: the one yaw formula, for Python
+    floats and for float64 columns alike. Elementwise, so a point rounds
+    the same alone, in any batch, and as a float or an array element."""
     c, s = math.cos(yaw), math.sin(yaw)
-    x, y = pts[:, 0], pts[:, 1]
-    pts[:, 0], pts[:, 1] = c * x - s * y, s * x + c * y
-    return pts
+    return c * x - s * y, s * x + c * y
 
 
 def canonicalize(points, box: Box3D) -> np.ndarray:
     """Map points into the box frame: p -> R_z(-yaw) (p - center)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    return _rotate_yaw(pts - np.asarray(box.center), -box.yaw)
+    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3) - np.asarray(box.center)
+    pts[:, 0], pts[:, 1] = _rotate_yaw(pts[:, 0], pts[:, 1], -box.yaw)
+    return pts
 
 
 def uncanonicalize(points, box: Box3D) -> np.ndarray:
     """Inverse of :func:`canonicalize`."""
-    # np.array copies, so the in-place rotation leaves the caller's array be
+    # np.array copies, so assigning the rotated columns leaves the caller's array be
     pts = np.array(points, dtype=np.float64).reshape(-1, 3)
-    return _rotate_yaw(pts, box.yaw) + np.asarray(box.center)
+    pts[:, 0], pts[:, 1] = _rotate_yaw(pts[:, 0], pts[:, 1], box.yaw)
+    return pts + np.asarray(box.center)
 
 
 def crop(points, box: Box3D) -> np.ndarray:
-    """Points whose canonical coordinates lie inside the box (boundary inclusive)."""
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 3)
-    if len(pts) == 0:
-        return pts
-    local = canonicalize(pts, box)
+    """The points inside the box (boundary inclusive), in order, in box-frame coordinates."""
+    local = canonicalize(points, box)
     half = np.asarray(box.size) / 2.0
-    keep = np.all(np.abs(local) <= half, axis=1)
-    return pts[keep]
+    return local[np.all(np.abs(local) <= half, axis=1)]
 
 
 def bucket_index(n_points: int) -> int:

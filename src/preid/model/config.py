@@ -9,21 +9,19 @@ from ..util import check_numbers
 
 POINTNET_LITE = "pointnet_lite"
 EDGECONV_LITE = "edgeconv_lite"
+IN_DIM = 3  # the encoders' input width: xyz points
 
 
 @dataclass
 class EncoderConfig:
     kind: str = POINTNET_LITE
-    in_dim: int = 3
     out_dim: int = 64
     n_points: int = 128
     hidden: list[int] = field(default_factory=lambda: [64])
     knn: int = 8  # edgeconv only
 
     def __post_init__(self):
-        check_numbers(self, {"in_dim": 1, "out_dim": 1, "n_points": 1, "hidden": 1, "knn": 1})
-        if self.in_dim != 3:
-            raise ValueError(f"in_dim must be 3, for xyz points, got {self.in_dim}")
+        check_numbers(self, {"out_dim": 1, "n_points": 1, "hidden": 1, "knn": 1})
         if self.kind not in (POINTNET_LITE, EDGECONV_LITE):
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.kind == EDGECONV_LITE and self.n_points < self.knn:
@@ -56,6 +54,11 @@ def config_from_json(text: str) -> tuple[EncoderConfig, RtmmConfig]:
         values = obj.get(section) if isinstance(obj, dict) else None
         if not isinstance(values, dict):
             raise ValueError(f"section {section!r} is missing or not a JSON object")
+        # files written while the input width was a field hold "in_dim": 3
+        if section == "encoder" and "in_dim" in values:
+            in_dim = values.pop("in_dim")
+            if type(in_dim) is not int or in_dim != IN_DIM:
+                raise ValueError(f"encoder.in_dim must be {IN_DIM}, got {in_dim!r}")
         known = {f.name for f in fields(cls)}
         for key in values:
             if key not in known:

@@ -21,7 +21,7 @@ import numpy as np
 
 from .. import nn
 from ..nn import Tensor
-from .config import EDGECONV_LITE, POINTNET_LITE, EncoderConfig, RtmmConfig
+from .config import EDGECONV_LITE, IN_DIM, POINTNET_LITE, EncoderConfig, RtmmConfig
 
 LN_EPS = 1e-5
 ATTN_EPS = 1e-6
@@ -36,7 +36,7 @@ SCORE_SLICE_BYTES = 2 << 20
 ROW_BLOCK = 8
 
 
-def resample_points(points, n: int = 128, rng: np.random.Generator | None = None) -> np.ndarray:
+def resample_points(points, n: int, rng: np.random.Generator) -> np.ndarray:
     """Fix a point set's cardinality: subsample without replacement when too
     large, resample with replacement when too small, identity at exactly n."""
     pts = np.asarray(points, dtype=np.float32).reshape(-1, 3)
@@ -45,8 +45,6 @@ def resample_points(points, n: int = 128, rng: np.random.Generator | None = None
         raise ValueError("cannot resample an empty point set")
     if m == n:
         return pts.copy()
-    if rng is None:
-        rng = np.random.default_rng()
     if m > n:
         idx = rng.choice(m, size=n, replace=False)
     else:
@@ -98,7 +96,7 @@ class _Mlp:
 class _EdgeconvEncoder:
     def __init__(self, params, cfg: EncoderConfig, rng, dtype):
         self.k = cfg.knn
-        widths = [2 * cfg.in_dim] + list(cfg.hidden) + [cfg.out_dim]
+        widths = [2 * IN_DIM] + list(cfg.hidden) + [cfg.out_dim]
         self.mlp = _Mlp(params, "encoder.edge", widths, rng, dtype)
 
     def __call__(self, x: Tensor) -> Tensor:
@@ -163,7 +161,7 @@ class ReidModel:
         self.params = nn.ParameterStore()
         rng = np.random.default_rng(seed)
         if encoder_cfg.kind == POINTNET_LITE:
-            widths = [encoder_cfg.in_dim] + list(encoder_cfg.hidden) + [encoder_cfg.out_dim]
+            widths = [IN_DIM] + list(encoder_cfg.hidden) + [encoder_cfg.out_dim]
             self.encoder = _Mlp(self.params, "encoder", widths, rng, self.dtype)
         elif encoder_cfg.kind == EDGECONV_LITE:
             self.encoder = _EdgeconvEncoder(self.params, encoder_cfg, rng, self.dtype)

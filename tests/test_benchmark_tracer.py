@@ -12,6 +12,7 @@ import numpy as np
 import preid.cli
 import preid.nn
 import preid.nn.tensor
+from preid.data import read_dataset
 from preid.model import EncoderConfig, ReidModel, RtmmConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -58,3 +59,21 @@ def test_row_gathers_are_traced():
     finally:
         tracer.restore()
     assert "nn.gather" in {span[0] for span in tracer.spans}
+
+
+def test_extraction_counts_each_point_once(tmp_path):
+    logs, ds = tmp_path / "logs", tmp_path / "ds"
+    assert preid.cli.main(["gen-synthetic", "--out", str(logs), "--seed", "3",
+                           "--objects", "car=4", "--frames", "3", "--lam", "24"]) == 0
+    tracer = load_tracer().Tracer()
+    tracer.instrument()
+    try:
+        assert preid.cli.main(["build-dataset", "--logs", str(logs), "--out", str(ds)]) == 0
+    finally:
+        tracer.restore()
+    counts = tracer.counts
+    assert "geometry.crop" in {span[0] for span in tracer.spans}
+    written = sum(len(obs.points) for obs in read_dataset(ds).observations)
+    assert counts["geometry.crop_points_kept"] == written > 0
+    # crop's inside test and the written points share one rotation
+    assert counts["geometry.canonicalize_points"] == counts["geometry.crop_points_in"]

@@ -96,6 +96,7 @@ MALFORMED_MODEL_CONFIGS = {
     "zero n_points": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "n_points": 0}},
     "non-list hidden": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "hidden": 8}},
     "list layers": lambda cfg: {**cfg, "rtmm": {**cfg["rtmm"], "layers": [2]}},
+    "in_dim 4": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "in_dim": 4}},
 }
 
 # config-file values that the config dataclasses reject, per command
@@ -405,6 +406,20 @@ class TestExitCodes:
         assert str(cfg) in capsys.readouterr().err
         assert not out.exists()
 
+    def test_model_config_with_in_dim_3_loads(self, pipeline, tmp_path):
+        # model_config.json files written while the input width was a field hold it
+        run = tmp_path / "run"
+        shutil.copytree(pipeline / "run", run)
+        cfg = run / "model_config.json"
+        old = json.loads(cfg.read_text())
+        assert "in_dim" not in old["encoder"]
+        cfg.write_text(json.dumps({**old, "encoder": {**old["encoder"], "in_dim": 3}}))
+        for name, model in (("new", pipeline / "run"), ("old", run)):
+            assert main(["eval", "--dataset", str(pipeline / "ds"), "--model", str(model),
+                         "--pairs", str(pipeline / "pairs.jsonl"),
+                         "--out", str(tmp_path / f"{name}.json")]) == 0
+        assert (tmp_path / "new.json").read_bytes() == (tmp_path / "old.json").read_bytes()
+
 
 class TestLibraryDefaults:
     def test_flag_free_build_dataset_uses_extraction_defaults(self, pipeline, tmp_path,
@@ -564,10 +579,10 @@ class TestTrainConfig:
                                 epochs=3, target_ratio_up=5.0, target_ratio_down=0.01,
                                 step_ratio_up=0.3, seed=4, sampler="uniform",
                                 early_stop_accuracy=0.9)
-        # every field but in_dim, which takes only 3, is set away from its default
+        # every field is set away from its default
         for obj in (encoder, rtmm, train_cfg):
             for f in dataclasses.fields(obj):
-                assert f.name == "in_dim" or getattr(obj, f.name) != getattr(type(obj)(), f.name)
+                assert getattr(obj, f.name) != getattr(type(obj)(), f.name)
         config = {**dataclasses.asdict(encoder), **dataclasses.asdict(rtmm),
                   **dataclasses.asdict(train_cfg)}
         config["encoder"] = config.pop("kind")

@@ -31,7 +31,7 @@ from preid.data import (
 )
 from preid.data.extract import _REACH_MARGIN
 from preid.data.synthetic import _apply_dents, _sample_surface
-from preid.geometry import Box3D, canonicalize, crop, iou_3d, uncanonicalize
+from preid.geometry import Box3D, crop, iou_3d, uncanonicalize
 
 
 def _det(frame, center, cls="car", score=0.9, size=(4.0, 2.0, 1.5), yaw=0.0):
@@ -133,7 +133,7 @@ class TestExtraction:
 
 def _full_frame_reference(dets, frame_points, tau_c=0.1):
     """(observation_id, points) of every gated detection without GT, each
-    cropped from its whole frame and canonicalized, in extraction order."""
+    cropped from its whole frame into the box frame, in extraction order."""
     out = []
     for i, det in sorted(enumerate(dets), key=lambda t: (t[1].frame, t[0])):
         if det.score <= tau_c:
@@ -141,8 +141,7 @@ def _full_frame_reference(dets, frame_points, tau_c=0.1):
         pts = np.asarray(frame_points[det.frame], dtype=np.float64).reshape(-1, 3)
         kept = crop(pts, det.box)
         if len(kept):
-            out.append((f"f{det.frame:06d}-d{i:05d}",
-                        canonicalize(kept, det.box).astype(np.float32)))
+            out.append((f"f{det.frame:06d}-d{i:05d}", kept.astype(np.float32)))
     return out
 
 

@@ -160,7 +160,7 @@ def _np_clip(subject, a, b):
 
 def np_iou(a: Box3D, b: Box3D) -> float:
     """Reference IoU: numpy polygon clipping and a shoelace area."""
-    poly, clip = a.bev_corners(), b.bev_corners()
+    poly, clip = np.asarray(a.bev_corners()), np.asarray(b.bev_corners())
     for i in range(4):
         poly = _np_clip(poly, clip[i], clip[(i + 1) % 4])
     area = 0.0
@@ -295,7 +295,8 @@ _face_signs = st.tuples(*[st.sampled_from([-1.0, -0.5, 0.0, 0.5, 1.0])] * 3)
 
 
 class TestBatchIndependence:
-    """A point rotates, and so is cropped, the same alone as in any batch."""
+    """A point rotates, and so is cropped, the same alone as in any batch,
+    and a box corner the same as a Python float as in an array."""
 
     @settings(max_examples=200, deadline=None)
     @given(_boxes, st.lists(_face_signs, min_size=2, max_size=40))
@@ -314,6 +315,14 @@ class TestBatchIndependence:
             assert uncanonicalize(local[i:i + 1], box).tobytes() == back[i:i + 1].tobytes()
             alone_kept += crop(world[i:i + 1], box).tolist()
         assert np.array(alone_kept).reshape(-1, 3).tobytes() == kept.tobytes()
+        # crop returns the box-frame rows that its inside test kept
+        inside = np.all(np.abs(canon) <= np.asarray(box.size) / 2, axis=1)
+        assert kept.tobytes() == canon[inside].tobytes()
+        # the corners rotated as floats round as the same corners rotated as columns
+        l, w, _ = box.size
+        corners = np.array([[l, w, 0.0], [-l, w, 0.0], [-l, -w, 0.0], [l, -w, 0.0]]) * 0.5
+        assert (np.array(box.bev_corners()).tobytes()
+                == uncanonicalize(corners, box)[:, :2].tobytes())
 
 
 class TestBuckets:

@@ -53,11 +53,11 @@ class TestResample:
 
     def test_exact_size_identity(self):
         pts = np.random.default_rng(1).normal(size=(128, 3)).astype(np.float32)
-        np.testing.assert_array_equal(resample_points(pts, 128), pts)
+        np.testing.assert_array_equal(resample_points(pts, 128, np.random.default_rng(0)), pts)
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
-            resample_points(np.empty((0, 3)), 128)
+            resample_points(np.empty((0, 3)), 128, np.random.default_rng(0))
 
     def test_seeded_reproducible(self):
         pts = np.random.default_rng(2).normal(size=(300, 3)).astype(np.float32)
