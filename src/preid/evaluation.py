@@ -190,9 +190,9 @@ class BenchReport:
 
 def bench(model: ReidModel, batch_size: int = 512, n_trials: int = 20,
           warmup: int = 5, seed: int = 0) -> BenchReport:
-    """Time ``score_batch`` on one batch of Gaussian clouds. They repeat no
-    point, so every layer runs on every row: this is the worst case, not the
-    speed on an eval set, whose resampled clouds repeat most points."""
+    """Time ``score_batch`` on one batch of Gaussian clouds. They repeat
+    neither a point nor a cloud: this is the worst case, not the speed on an
+    eval set, whose pairs share clouds that repeat most of their points."""
     if batch_size < 1:
         raise ValueError(f"bench batch_size must be at least 1, got {batch_size}")
     if n_trials < 1:

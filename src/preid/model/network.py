@@ -7,12 +7,13 @@ pools with max+mean, and maps through a residual MLP to one logit. This
 construction makes the score symmetric in its two inputs up to float
 rounding.
 
-Every layer after the encoder acts on each point alone, except three set
-reductions: the linear-attention summaries K^T V and sum(K), and the final
-pooling. So ``score_batch`` runs those per-point layers once per distinct
-point of each resampled cloud, and expands the rows back to the full cloud,
-in its original order, wherever a set reduction reads them; its logits equal
-those of the full clouds bit for bit.
+Two stages make the model. The per-observation stage reads one cloud alone:
+the encoder and the first block's key summary K^T V, sum(K), which by
+associativity does not depend on the partner. The per-pair stage is the rest.
+Training runs both on whole clouds as one graph. ``score_batch`` runs the
+first once per distinct cloud of its pairs and every layer after the encoder
+once per distinct point, expanding rows back wherever a set reduction reads
+them, so its logits equal those of full clouds bit for bit.
 """
 
 from __future__ import annotations
@@ -127,23 +128,30 @@ class _CfaBlock:
         self.ln_attn = _LayerNorm(params, f"{name}.ln_attn", d, dtype)
         self.ln_out = _LayerNorm(params, f"{name}.ln_out", d, dtype)
 
-    def lca(self, q_feat: Tensor, k_feat: Tensor, v_feat: Tensor, kv_rows=None) -> Tensor:
-        if k_feat.shape[-2] == 0:
+    def summarize(self, keys: Tensor, rows=None):
+        """Linear attention's key side (φ(K)ᵀV, Σφ(K)) over keys[rows]; it does
+        not read the queries (Katharopoulos et al. 2020)."""
+        if keys.shape[-2] == 0:
             raise nn.ShapeError("linear attention requires at least one key")
-        q = nn.elu_plus_one(nn.linear(q_feat, self.wq))
-        k = _take(nn.elu_plus_one(nn.linear(k_feat, self.wk)), kv_rows)
-        v = _take(nn.linear(v_feat, self.wv), kv_rows)
-        kv = nn.swapaxes(k, -1, -2) @ v                       # (.., d, d)
-        num = q @ kv                                          # (.., n1, d)
-        ksum = nn.tsum(k, axis=-2, keepdims=True)             # (.., 1, d)
-        den = q @ nn.swapaxes(ksum, -1, -2)                   # (.., n1, 1)
-        return self.out(num / nn.maximum_scalar(den, ATTN_EPS))
+        k = _take(nn.elu_plus_one(nn.linear(keys, self.wk)), rows)
+        v = _take(nn.linear(keys, self.wv), rows)
+        return nn.swapaxes(k, -1, -2) @ v, nn.tsum(k, axis=-2, keepdims=True)
 
-    def __call__(self, f_q: Tensor, f_kv: Tensor, x_kv: Tensor, kv_rows=None) -> Tensor:
-        p = self.pos(x_kv)
-        keys = f_kv + p
-        attended = self.lca(f_q, keys, keys, kv_rows)
-        fused = self.mlp(nn.concat([self.ln_attn(attended), f_q], axis=-1))
+    def lca(self, q_feat: Tensor, summary) -> Tensor:
+        """φ(Q)(φ(K)ᵀV) / φ(Q)Σφ(K) of q_feat's rows over a key summary."""
+        kv, ksum = summary
+        q = nn.elu_plus_one(nn.linear(q_feat, self.wq))
+        den = q @ nn.swapaxes(ksum, -1, -2)
+        return self.out((q @ kv) / nn.maximum_scalar(den, ATTN_EPS))
+
+    def __call__(self, f_q, f_kv, x_kv, kv_rows=None):
+        """f_q's rows attend to keys f_kv + pos(x_kv), with kv_rows naming
+        the key row of each point. With f_q None, returns the keys' summary,
+        which a later call may take in place of x_kv."""
+        summary = x_kv if isinstance(x_kv, tuple) else self.summarize(f_kv + self.pos(x_kv), kv_rows)
+        if f_q is None:
+            return summary
+        fused = self.mlp(nn.concat([self.ln_attn(self.lca(f_q, summary)), f_q], axis=-1))
         return self.ln_out(fused) + f_q
 
 
@@ -183,29 +191,28 @@ class ReidModel:
     def encode(self, x: Tensor) -> Tensor:
         return self.encoder(x)
 
-    def forward_logits(self, a, b, rows_a=None, rows_b=None) -> Tensor:
+    def forward_logits(self, a, b) -> Tensor:
         """Batched match logits for stacked point clouds a, b of shape (B, n, 3).
-
-        A side's row map ``(picked, inverse)`` runs every layer after the
-        encoder on that side's rows ``picked`` (B, m) only; ``inverse`` (B, n)
-        names the picked row that holds each point, and expands the rows back
-        wherever a set reduction reads them.
-        """
-        xa = a if isinstance(a, Tensor) else Tensor(np.asarray(a, dtype=self.dtype))
-        xb = b if isinstance(b, Tensor) else Tensor(np.asarray(b, dtype=self.dtype))
-        pick_a, inv_a = rows_a or (None, None)
-        pick_b, inv_b = rows_b or (None, None)
-        # the encoder sees every point: EdgeConv's neighbours include repeats
-        f1, f2 = _take(self.encode(xa), pick_a), _take(self.encode(xb), pick_b)
-        xa, xb = _take(xa, pick_a), _take(xb, pick_b)
+        A side may instead be its per-observation state ``(f, x, rows,
+        summary)``: features and xyz (B, m, .) at picked rows, the row (B, n)
+        of each point, and the first block's key summary."""
+        sides = [s if isinstance(s, tuple) else self._observe(s) for s in (a, b)]
+        (f1, xa, inv_a, sa), (f2, xb, inv_b, sb) = sides
         for block in self.cfa:
             # simultaneous update from the previous layer's values; required
             # for exact symmetry of the construction
-            f1, f2 = block(f1, f2, xb, inv_b), block(f2, f1, xa, inv_a)
+            f1, f2 = block(f1, f2, sb, inv_b), block(f2, f1, sa, inv_a)
+            sa, sb = xa, xb  # only the first block's summaries are cached
         joint = nn.concat([_take(f1, inv_a), _take(f2, inv_b)], axis=-2)
         pooled = nn.pool_concat(joint)
         h = pooled + self.res_b(nn.relu(self.res_a(pooled)))
         return nn.reshape(self.head(h), pooled.shape[:-1])
+
+    def _observe(self, x) -> tuple:
+        """The per-observation stage of whole clouds x (B, n, 3)."""
+        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
+        f = self.encode(x)
+        return f, x, None, self.cfa[0](None, f, x)
 
     def rtmm_score(self, x1, x2) -> float:
         """Match logit for one pair of resampled n x 3 point sets."""
@@ -221,24 +228,51 @@ class ReidModel:
         return max(1, SCORE_SLICE_BYTES // (rows * width * np.dtype(self.dtype).itemsize))
 
     def score_batch(self, pairs) -> list[float]:
-        """Match logits of many pairs, equal bit for bit to scoring them in
-        consecutive slices of ``_score_slice()`` pairs with full clouds."""
+        """Match logits of many pairs, bit for bit those of consecutive slices
+        of ``_score_slice()`` pairs of full clouds. The per-observation stage
+        runs once per distinct cloud, unless n_points is a partial row block."""
         if not pairs:
             return []
-        a = np.stack([np.asarray(p[0], dtype=self.dtype) for p in pairs])
-        b = np.stack([np.asarray(p[1], dtype=self.dtype) for p in pairs])
-        rows = [_distinct_rows(a), _distinct_rows(b)]
+        slots = np.stack([np.asarray(x, dtype=self.dtype) for pair in pairs for x in pair])
         step = self._score_slice()
-        # the head takes one row per pair, so pairs may trade places only
-        # among full slices of whole row blocks; the tail keeps its order
-        full = len(a) - len(a) % step if step % ROW_BLOCK == 0 else 0
-        distinct = np.maximum(rows[0][1], rows[1][1])[:full]
-        order = np.concatenate([np.argsort(distinct, kind="stable"), np.arange(full, len(a))])
-        logits = np.empty(len(a))
-        for lo in range(0, len(a), step):
-            at = order[lo:lo + step]
-            maps = [_slice_rows(*r, at) for r in rows]
-            logits[at] = self.forward_logits(a[at], b[at], *maps).data
+        if slots.shape[1] % ROW_BLOCK:
+            return [float(v) for lo in range(0, len(slots), 2 * step) for v in self.forward_logits(
+                slots[lo:lo + 2 * step:2], slots[lo + 1:lo + 2 * step:2]).data]
+        clouds = slots.reshape(len(slots), -1).view(f"V{slots[0].nbytes}").ravel()  # by bit pattern
+        _, first, cloud = np.unique(clouds, return_index=True, return_inverse=True)
+        x, n = slots[first], slots.shape[1]
+        order, count, inverse = _distinct_rows(x)
+        # the per-observation stage, step clouds at a time, on one stack of
+        # each cloud's distinct points padded to whole row blocks
+        size = -(-count // ROW_BLOCK) * ROW_BLOCK
+        start = np.cumsum(size) - size
+        pick = (order + n * np.arange(len(x))[:, None])[np.arange(n) < size[:, None]]
+
+        def observe(lo):
+            at = slice(lo, lo + step)
+            picked = pick[start[lo]:start[lo] + size[at].sum()]
+            xr = Tensor(x.reshape(-1, 3)[picked])
+            whole = self.encoder_cfg.kind == EDGECONV_LITE  # its neighbours include repeats
+            f = self.encode(Tensor(x[at]) if whole else xr)
+            f = Tensor(f.data.reshape(-1, f.shape[-1])[picked - n * lo]) if whole else f
+            return f, xr, *self.cfa[0](None, f, xr, start[at, None] - start[lo] + inverse[at])
+
+        f, xr, kv, ksum = [np.concatenate([p.data for p in column])
+                           for column in zip(*map(observe, range(0, len(x), step)))]
+        # the per-pair stage; the head takes one row per pair, so pairs may
+        # trade places only among full slices of whole row blocks
+        full = len(pairs) - len(pairs) % step if step % ROW_BLOCK == 0 else 0
+        distinct = count[cloud].reshape(-1, 2).max(axis=1)[:full]
+        ranked = np.concatenate([np.argsort(distinct, kind="stable"), np.arange(full, len(pairs))])
+        logits = np.empty(len(pairs))
+        for lo in range(0, len(pairs), step):
+            at = ranked[lo:lo + step]
+            sides = []
+            for c in cloud.reshape(-1, 2)[at].T:  # each side's rows of the stack
+                picked, inv = _slice_rows(order, count, inverse, c) or (order[c], inverse[c])
+                r = start[c, None] + np.take_along_axis(inverse[c], picked, axis=1)
+                sides.append((Tensor(f[r]), Tensor(xr[r]), inv, (Tensor(kv[c]), Tensor(ksum[c]))))
+            logits[at] = self.forward_logits(*sides).data
         return [float(v) for v in logits]
 
 

@@ -404,16 +404,19 @@ def swapaxes(x: Tensor, a1: int, a2: int) -> Tensor:
 
 def gather(x: Tensor, index: np.ndarray) -> Tensor:
     """Rows of each set: x (S, m, d) at integer index (S, k) -> (S, k, d),
-    out[s, i] = x[s, index[s, i]]; the gradient of a repeated row is summed."""
-    s, m, d = x.data.shape
-    if index.shape[:1] != (s,) or index.ndim != 2:
+    out[s, i] = x[s, index[s, i]], or of one set x (m, d) at any integer
+    index; the gradient of a repeated row is summed."""
+    d = x.data.shape[-1]
+    if x.data.ndim == 3 and index.ndim == 2 and index.shape[0] == x.data.shape[0]:
+        index = index + x.data.shape[1] * np.arange(len(index))[:, None]
+    elif x.data.ndim != 2:
         raise ShapeError(f"gather needs an (S, k) index for (S, m, d), "
                          f"got {index.shape} for {x.shape}")
-    flat = (index + m * np.arange(s)[:, None]).reshape(-1)
-    data = np.take(x.data.reshape(s * m, d), flat, axis=0).reshape(index.shape + (d,))
+    flat = index.reshape(-1)
+    data = np.take(x.data.reshape(-1, d), flat, axis=0).reshape(index.shape + (d,))
 
     def backward(g):
-        gx = np.zeros((s * m, d), dtype=g.dtype)
+        gx = np.zeros((x.data.size // d, d), dtype=g.dtype)
         np.add.at(gx, flat, g.reshape(-1, d))
         return ((x, gx.reshape(x.shape)),)
 

@@ -173,7 +173,7 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     step = 0
     loss_val = float("nan")
     acc_window: list[float] = []
-    stopped = False
+    stopped = saved = False
     try:
         for epoch in range(cfg.epochs):
             pairs = sampler(ds, cfg.seed, epoch=epoch)
@@ -189,9 +189,7 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
                 loss = nn.bce_with_logits(logits, labels)
                 loss_val = loss.item()
                 if not math.isfinite(loss_val):
-                    raise TrainingError(
-                        f"non-finite loss at step {step}; last checkpoint kept at {ckpt_path}"
-                    )
+                    raise TrainingError(f"non-finite loss at step {step}")
                 t_backward = time.perf_counter()
                 loss.backward()
                 t_optimizer = time.perf_counter()
@@ -224,13 +222,18 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
                     break
             if stopped or (epoch + 1) % ckpt_every == 0:
                 save_checkpoint(model, ckpt_path)
+                saved = True
             if stopped:
                 break
-        write_records(metrics_path, metrics)
-        write_records(out_dir / "timings.jsonl", timings)
         save_checkpoint(model, ckpt_path)
+    except TrainingError as e:
+        kept = f"last checkpoint kept at {ckpt_path}" if saved else "this run wrote no checkpoint"
+        raise TrainingError(f"{e}; {kept}") from None
     finally:
         model.params.set_requires_grad(False)
+        # a failed run's steps, too, replace any earlier run's records
+        write_records(metrics_path, metrics)
+        write_records(out_dir / "timings.jsonl", timings)
     return TrainReport(
         steps=step,
         epochs=epoch + 1,

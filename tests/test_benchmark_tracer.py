@@ -61,6 +61,28 @@ def test_row_gathers_are_traced():
     assert "nn.gather" in {span[0] for span in tracer.spans}
 
 
+def test_scoring_spans_with_shared_clouds():
+    model = ReidModel(EncoderConfig(out_dim=8, n_points=16, hidden=[8]),
+                      RtmmConfig(layers=2, dim=8, pos_hidden=[8], mlp_hidden=[8]))
+    rng = np.random.default_rng(1)
+    for _, t in model.params.items():  # a fresh model's zero scoring layer outputs 0
+        t.data = (t.data + rng.normal(0.0, 0.1, t.data.shape)).astype(np.float32)
+    a, b, c = rng.normal(size=(3, 16, 3)).astype(np.float32)
+    pairs = [(a, b), (b, a), (a, a), (c, b.copy()), (a, c)]
+    expected = model.score_batch(pairs)
+    tracer = load_tracer().Tracer()
+    tracer.instrument()
+    try:
+        tracer.instrument_model(model)
+        logits = model.score_batch(pairs)
+    finally:
+        tracer.restore()
+    names = {span[0] for span in tracer.spans}
+    assert {"model.encode", "model.cfa0.pos", "model.cfa0.lca", "model.cfa0.mlp",
+            "model.cfa1.pos", "model.cfa1.lca", "model.cfa1.mlp"} <= names
+    assert logits == expected
+
+
 def test_extraction_counts_each_point_once(tmp_path):
     logs, ds = tmp_path / "logs", tmp_path / "ds"
     assert preid.cli.main(["gen-synthetic", "--out", str(logs), "--seed", "3",

@@ -144,7 +144,7 @@ class TestAttention:
         rng = np.random.default_rng(3)
         q = Tensor(rng.normal(size=(1, 5, 8)))
         kv = Tensor(rng.normal(size=(1, 1, 8)))
-        got = block.lca(q, kv, kv).data
+        got = block.lca(q, block.summarize(kv)).data
         v = kv.data @ block.wv.data
         expect = (np.broadcast_to(v, (1, 5, 8)) @ block.out.w.data) + block.out.b.data
         np.testing.assert_allclose(got, expect, atol=1e-10)
@@ -156,8 +156,8 @@ class TestAttention:
         q = Tensor(rng.normal(size=(1, 6, 8)))
         kv = rng.normal(size=(1, 10, 8))
         perm = rng.permutation(10)
-        a = block.lca(q, Tensor(kv), Tensor(kv)).data
-        b = block.lca(q, Tensor(kv[:, perm]), Tensor(kv[:, perm])).data
+        a = block.lca(q, block.summarize(Tensor(kv))).data
+        b = block.lca(q, block.summarize(Tensor(kv[:, perm]))).data
         np.testing.assert_allclose(a, b, atol=1e-10)
 
     def test_query_equivariance(self):
@@ -167,8 +167,8 @@ class TestAttention:
         q = rng.normal(size=(1, 6, 8))
         kv = Tensor(rng.normal(size=(1, 10, 8)))
         perm = rng.permutation(6)
-        a = block.lca(Tensor(q), kv, kv).data
-        b = block.lca(Tensor(q[:, perm]), kv, kv).data
+        a = block.lca(Tensor(q), block.summarize(kv)).data
+        b = block.lca(Tensor(q[:, perm]), block.summarize(kv)).data
         np.testing.assert_allclose(b, a[:, perm], atol=1e-10)
 
     def test_cfa_residual_passthrough_when_zeroed(self):
@@ -283,7 +283,8 @@ def _full_cloud_score_batch(model, pairs):
 def _scored_batches(draw):
     """A small model of either encoder and dtype, a slice size, and a batch of
     pairs resampled as evaluation resamples them: from sources with or
-    without repeated points and signed zeros, shuffled or not."""
+    without repeated points and signed zeros, shuffled or not, and with or
+    without clouds reused across and within pairs."""
     kind = draw(st.sampled_from([POINTNET_LITE, EDGECONV_LITE]))
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     n = draw(st.sampled_from([4, 5, 7, 12, 16, 20, 33, 64]))
@@ -309,17 +310,51 @@ def _scored_batches(draw):
             src[rng.random(src.shape) < 0.3] = -0.0
         cloud = resample_points(src, n, rng)
         clouds.append(cloud[rng.permutation(n)] if shuffled else cloud)
+    if draw(st.booleans()):
+        # each slot takes a cloud of a small pool, as the same array object
+        # or as an equal copy; pair 0 is a cloud with itself, and pair 1
+        # holds that cloud on both sides (a copy on side b)
+        pool = clouds[:len(clouds) // 3 + 1]
+        clouds = [pool[i] if rng.random() < 0.5 else pool[i].copy()
+                  for i in rng.integers(0, len(pool), size=len(clouds))]
+        clouds[1] = clouds[0]
+        if len(clouds) > 2:
+            clouds[2], clouds[3] = clouds[0], clouds[0].copy()
     return model, list(zip(clouds[::2], clouds[1::2]))
 
 
 class TestDistinctPoints:
-    """score_batch runs the per-point layers once per distinct point."""
+    """score_batch runs the per-point layers once per distinct point, and the
+    per-observation stage once per distinct cloud."""
 
     @settings(max_examples=200, deadline=None)
     @given(_scored_batches())
     def test_matches_full_clouds_bit_for_bit(self, case):
         model, pairs = case
         assert model.score_batch(pairs) == _full_cloud_score_batch(model, pairs)
+
+    def test_each_distinct_cloud_is_observed_once(self):
+        model = micro_model(dtype=np.float32)
+        rng = np.random.default_rng(16)
+        c0, c1, c2 = (rng.normal(size=(16, 3)).astype(np.float32) for _ in range(3))
+        c3 = rng.normal(size=(4, 3)).astype(np.float32).repeat(4, axis=0)  # 4 distinct points
+        # the same object on both sides, an equal copy, a cloud with itself
+        pairs = [(c0, c1), (c1, c0), (c0.copy(), c3), (c3, c3), (c2, c0), (c3.copy(), c2)]
+        rows = {"encode": 0, "pos": 0}
+
+        def counting(name, fn):
+            def wrapped(x):
+                rows[name] += int(np.prod(x.shape[:-1]))
+                return fn(x)
+            return wrapped
+
+        model.encode = counting("encode", model.encode)
+        model.cfa[0].pos = counting("pos", model.cfa[0].pos)
+        assert len(pairs) < model._score_slice()  # one slice of clouds
+        logits = model.score_batch(pairs)
+        # 16 + 16 + 16 + 4 distinct points in whole row blocks, once each
+        assert rows == {"encode": 56, "pos": 56}
+        assert logits == _full_cloud_score_batch(model, pairs)
 
     def test_distinct_rows_by_bit_pattern(self):
         x = np.array([[[0, 1, 2], [-0.0, 1, 2], [0, 1, 2], [3, 3, 3]]], dtype=np.float32)

@@ -202,6 +202,23 @@ class TestTrainLoop:
             train(model, ds, TrainConfig(batch_size=8, epochs=1, seed=0), tmp_path / "bad")
         assert not any(t.requires_grad for _, t in model.params.items())
 
+    @pytest.mark.parametrize("batch_size, checkpointed", [(8, True), (2, False)])
+    def test_failed_run_writes_its_records(self, tmp_path, batch_size, checkpointed):
+        # lr_base 1e6 diverges at step 2: in epoch 2 at one step per epoch,
+        # after two epoch checkpoints; in epoch 0 at four steps per epoch
+        out = tmp_path / "run"
+        out.mkdir()
+        for name in ("metrics.jsonl", "timings.jsonl"):
+            (out / name).write_text('{"step": 99}\n')  # an earlier run's records
+        cfg = TrainConfig(batch_size=batch_size, epochs=3, lr_base=1e6, seed=0)
+        kept = "last checkpoint kept at" if checkpointed else "this run wrote no checkpoint"
+        with np.errstate(all="ignore"), pytest.raises(TrainingError, match=f"step 2; {kept}"):
+            train(small_model(), small_dataset(), cfg, out)
+        for name in ("metrics.jsonl", "timings.jsonl"):
+            rows = [json.loads(line) for line in (out / name).read_text().splitlines()]
+            assert [r["step"] for r in rows] == [0, 1]
+        assert (out / "model.ckpt").exists() == checkpointed
+
     def test_empty_dataset_rejected(self, tmp_path):
         from preid.data import ReidDataset
         with pytest.raises(ValueError):
