@@ -9,8 +9,8 @@ Every command that writes output also records all effective values: a
 directory output holds resolved_config.json, and a file output such as
 pairs.jsonl gets pairs.resolved_config.json beside it.
 Flags are long-form only; a JSON config file may supply defaults and
-explicit flags win. Exit codes: 0 success, 1 usage error, 2 data/format
-error.
+explicit flags win. Exit codes: 0 success, 1 usage error (a malformed
+flag value included), 2 data/format error or a diverged training run.
 """
 
 from __future__ import annotations
@@ -61,14 +61,14 @@ from .model import (
     load_checkpoint,
 )
 from .sampling import build_eval_set, read_eval_set, write_eval_set
-from .training import EVEN, UNIFORM, TrainConfig, train
+from .training import EVEN, UNIFORM, TrainConfig, TrainingError, train
 from .util import atomic_write
 
 USAGE_ERROR = 1
 DATA_ERROR = 2
 
 # FormatError, InputError, ConfigError and CheckpointError are ValueErrors
-_DATA_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError)
+_DATA_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, TrainingError)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -168,12 +168,33 @@ def _parse_objects(text: str) -> dict[str, int]:
     return out
 
 
+def _parse_list(text: str, sep: str, item, what: str) -> list:
+    """The items of a list flag; argparse reports an empty list or a bad item
+    as a usage error naming the flag."""
+    try:
+        out = [item(v) for v in text.split(sep) if v.strip()]
+    except ValueError:
+        out = []
+    if not out:
+        raise argparse.ArgumentTypeError(f"expected {what}, got {text!r}")
+    return out
+
+
 def _parse_floats(text: str) -> list[float]:
-    return [float(v) for v in text.split(",") if v]
+    return _parse_list(text, ",", float, "a comma list of numbers")
 
 
 def _parse_ints(text: str) -> list[int]:
-    return [int(v) for v in text.split(",") if v]
+    return _parse_list(text, ",", int, "a comma list of integers")
+
+
+def _parse_point(text: str) -> tuple[float, float]:
+    x, err = text.split(",")
+    return float(x), float(err)
+
+
+def _parse_points(text: str) -> list[tuple[float, float]]:
+    return _parse_list(text, ";", _parse_point, "semicolon-separated x,error pairs")
 
 
 # -- subcommand handlers -------------------------------------------------
@@ -238,7 +259,7 @@ def _cmd_train(args) -> int:
         args.config, args, EncoderConfig(), RtmmConfig(), TrainConfig())
     ds = read_dataset(args.dataset)
     model = ReidModel(encoder_cfg, rtmm_cfg, seed=train_cfg.seed)
-    report = train(model, ds, train_cfg, args.out)
+    # written first, so a checkpoint that a diverged run keeps still loads
     with atomic_write(Path(args.out) / "model_config.json") as f:
         f.write(config_to_json(encoder_cfg, rtmm_cfg))
     _resolved_config(args.out, "train", {
@@ -247,6 +268,7 @@ def _cmd_train(args) -> int:
         "rtmm": dataclasses.asdict(rtmm_cfg),
         "train": dataclasses.asdict(train_cfg),
     })
+    report = train(model, ds, train_cfg, args.out)
     print(f"trained {report.steps} steps over {report.epochs} epochs; "
           f"final loss {report.final_loss:.4f}, checkpoint {report.checkpoint_path}")
     return 0
@@ -284,7 +306,7 @@ def _cmd_curve(args) -> int:
     ev = read_eval_set(args.pairs, ds)
     mode = {"both": BOTH_ATLEAST, "one": ONE_ATLEAST}[args.mode]
     pred = predict_pairs(model, ev, ds, threshold=args.threshold, seed=args.seed)
-    rows = density_curve(pred, mode, _parse_ints(args.thresholds))
+    rows = density_curve(pred, mode, args.thresholds)
     out = Path(args.out)
     with atomic_write(out) as f:
         f.write("x,mode,accuracy,n_pairs\n")
@@ -301,25 +323,12 @@ def _cmd_curve(args) -> int:
     return 0
 
 
-def _parse_points(text: str) -> list[tuple[float, float]]:
-    points = []
-    for chunk in text.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        x, _, err = chunk.partition(",")
-        points.append((float(x), float(err)))
-    return points
-
-
 def _cmd_fit_powerlaw(args) -> int:
-    points = _parse_points(args.points)
-    grid = _parse_floats(args.grid) if args.grid else None
-    fit = fit_power_law(points, grid)
+    fit = fit_power_law(args.points, args.grid)
     result = {
         "eps_inf": fit.eps_inf, "beta": fit.beta, "c": fit.c,
         "residual": fit.residual,
-        "points": [[x, e] for x, e in points],
+        "points": [[x, e] for x, e in args.points],
     }
     if args.out:
         _write_json(args.out, result)
@@ -351,38 +360,25 @@ def _cmd_bench(args) -> int:
 
 def _cmd_inspect(args) -> int:
     ds = read_dataset(args.dataset)
-    classes = sorted(set(ds.class_of.values()) | set(ds.fp_index))
-    rows = []
-    for cls in sorted(ds.fp_index):
-        n_obs = len(ds.fp_index[cls])
-        rows.append((f"FP {cls}", "--", str(n_obs), "--", "--"))
-    total_obj = total_obs = total_pos = 0
-    total_neg = 0
-    for cls in classes:
-        objs = [o for o, c in ds.class_of.items() if c == cls]
-        if not objs:
-            continue
-        sizes = [len(ds.index[o]) for o in objs]
+    stats = []  # (class, objects, observations, positive pairs, negative pairs)
+    for cls in sorted(set(ds.class_of.values())):
+        sizes = [len(ds.index[o]) for o, c in ds.class_of.items() if c == cls]
         n_obs = sum(sizes)
-        pos = sum(m * (m - 1) // 2 for m in sizes)
         tp_cross = (n_obs * n_obs - sum(m * m for m in sizes)) // 2
-        neg = tp_cross + n_obs * len(ds.fp_index.get(cls, []))
-        rows.append((cls, str(len(objs)), str(n_obs), f"{pos:.3g}" if pos >= 1e5 else str(pos),
-                     f"{neg:.3g}" if neg >= 1e5 else str(neg)))
-        total_obj += len(objs)
-        total_obs += n_obs
-        total_pos += pos
-        total_neg += neg
-    total_obs += sum(len(v) for v in ds.fp_index.values())
-    rows.append(("Total", str(total_obj), str(total_obs),
-                 f"{total_pos:.3g}" if total_pos >= 1e5 else str(total_pos),
-                 f"{total_neg:.3g}" if total_neg >= 1e5 else str(total_neg)))
-    widths = [max(len(r[i]) for r in rows + [("Class", "Objects", "Observations", "Pos. Pairs", "Neg. Pairs")])
-              for i in range(5)]
+        stats.append((cls, len(sizes), n_obs, sum(m * (m - 1) // 2 for m in sizes),
+                      tp_cross + n_obs * len(ds.fp_index.get(cls, []))))
+    objs, obs, pos, neg = (sum(row[k] for row in stats) for k in range(1, 5))
+    stats.append(("Total", objs, obs + sum(map(len, ds.fp_index.values())), pos, neg))
+
+    def pairs(n):
+        return f"{n:.3g}" if n >= 1e5 else str(n)
+
     header = ("Class", "Objects", "Observations", "Pos. Pairs", "Neg. Pairs")
-    print("  ".join(h.ljust(w) for h, w in zip(header, widths)))
-    for r in rows:
-        print("  ".join(c.ljust(w) for c, w in zip(r, widths)))
+    rows = [(f"FP {cls}", "--", str(len(ids)), "--", "--") for cls, ids in sorted(ds.fp_index.items())]
+    rows += [(cls, str(n_objs), str(n_obs), pairs(p), pairs(n)) for cls, n_objs, n_obs, p, n in stats]
+    widths = [max(map(len, column)) for column in zip(header, *rows)]
+    for row in (header, *rows):
+        print("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return 0
 
 
@@ -468,7 +464,8 @@ def _build_parser() -> _Parser:
     p.add_argument("--pairs", required=True, help="pairs.jsonl path")
     p.add_argument("--mode", choices=["both", "one"], default="both",
                    help="require both or at least one observation above the threshold")
-    p.add_argument("--thresholds", default="2,4,8,16,32,64", help="comma list of point counts")
+    p.add_argument("--thresholds", type=_parse_ints, default="2,4,8,16,32,64",
+                   help="comma list of point counts")
     p.add_argument("--threshold", type=float, default=_PREDICT_DEFAULTS["threshold"],
                    help="match probability threshold")
     p.add_argument("--out", default="curve.csv", help="output CSV path")
@@ -477,9 +474,10 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("fit-powerlaw", help="fit err(x) = eps_inf + beta * x^c")
-    p.add_argument("--points", required=True,
+    p.add_argument("--points", required=True, type=_parse_points,
                    help="semicolon-separated compute,error pairs, e.g. '14400,13.01;28800,11.95'")
-    p.add_argument("--grid", help="comma list of error-floor candidates (default 0..8)")
+    p.add_argument("--grid", type=_parse_floats,
+                   help="comma list of error-floor candidates (default 0..8)")
     p.add_argument("--out", help="optional powerlaw.json output path")
     p.set_defaults(func=_cmd_fit_powerlaw)
 

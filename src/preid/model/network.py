@@ -13,7 +13,9 @@ associativity does not depend on the partner. The per-pair stage is the rest.
 Training runs both on whole clouds as one graph. ``score_batch`` runs the
 first once per distinct cloud of its pairs and every layer after the encoder
 once per distinct point, expanding rows back wherever a set reduction reads
-them, so its logits equal those of full clouds bit for bit.
+them, so its logits equal those of full clouds bit for bit. A side past its
+cloud's own rows repeats the cloud's last row; only row-wise layers see such
+rows, because the set reductions read rows through the cloud's row map.
 """
 
 from __future__ import annotations
@@ -230,7 +232,9 @@ class ReidModel:
     def score_batch(self, pairs) -> list[float]:
         """Match logits of many pairs, bit for bit those of consecutive slices
         of ``_score_slice()`` pairs of full clouds. The per-observation stage
-        runs once per distinct cloud, unless n_points is a partial row block."""
+        runs once per distinct cloud, unless n_points is a partial row block.
+        A pair side reads as many rows of its cloud's stack as the slice's
+        widest cloud has; a cloud with fewer repeats its last row."""
         if not pairs:
             return []
         slots = np.stack([np.asarray(x, dtype=self.dtype) for pair in pairs for x in pair])
@@ -269,50 +273,30 @@ class ReidModel:
             at = ranked[lo:lo + step]
             sides = []
             for c in cloud.reshape(-1, 2)[at].T:  # each side's rows of the stack
-                picked, inv = _slice_rows(order, count, inverse, c) or (order[c], inverse[c])
-                r = start[c, None] + np.take_along_axis(inverse[c], picked, axis=1)
-                sides.append((Tensor(f[r]), Tensor(xr[r]), inv, (Tensor(kv[c]), Tensor(ksum[c]))))
+                r = start[c, None] + np.minimum(np.arange(size[c].max()), size[c, None] - 1)
+                sides.append((Tensor(f[r]), Tensor(xr[r]), inverse[c], (Tensor(kv[c]), Tensor(ksum[c]))))
             logits[at] = self.forward_logits(*sides).data
         return [float(v) for v in logits]
 
 
 def _distinct_rows(x: np.ndarray):
-    """Each cloud's distinct points by bit pattern, in order of first sight.
+    """Each cloud's distinct points by bit pattern, in order of their x bits.
 
     For clouds x (B, n, 3) returns ``(order, count, inverse)``: ``order[c]``
-    lists cloud c's rows with its distinct points first, ``count[c]`` how
-    many are distinct, and ``inverse[c, i]`` which of them row i holds.
+    lists cloud c's rows with one row of each distinct point first, ``count[c]``
+    how many are distinct, and ``inverse[c, i]`` which of them row i holds.
     Rows are sorted by their x bits and compared bit for bit with the next,
     so -0.0 and 0.0 stay apart. A point whose repeats sort on both sides of
     another point with the same x counts twice: that costs a row, never a bit.
     """
-    n_clouds, n = x.shape[:2]
-    bits = x.view(f"u{x.itemsize}").reshape(-1, 3)
-    offset = n * np.arange(n_clouds)[:, None]
-    at = (np.argsort(bits[:, 0].reshape(n_clouds, n), axis=1) + offset).reshape(-1)
-    s = np.take(bits, at, axis=0).reshape(n_clouds, n, 3)
-    new = np.ones((n_clouds, n), dtype=bool)  # a run of equal rows starts
+    bits = x.view(f"u{x.itemsize}")
+    at = np.argsort(bits[..., 0], axis=1)
+    s = np.take_along_axis(bits, at[..., None], axis=1)
+    new = np.ones(at.shape, dtype=bool)  # a run of equal rows starts
     new[:, 1:] = (s[:, 1:] != s[:, :-1]).any(axis=2)
-    starts = np.flatnonzero(new)
-    first = np.empty_like(at)
-    first[at] = np.repeat(np.minimum.reduceat(at, starts), np.diff(starts, append=len(at)))
-    first = first.reshape(n_clouds, n) - offset
-    is_first = first == np.arange(n)
-    rank = np.cumsum(is_first, axis=1) - 1
-    return (np.argsort(~is_first, axis=1, kind="stable"), is_first.sum(axis=1),
-            np.take_along_axis(rank, first, axis=1))
-
-
-def _slice_rows(order, count, inverse, at):
-    """The row map of the clouds ``at``, or None when it would save no row.
-
-    The picked count is padded with repeated rows up to whole row blocks, and
-    only clouds of whole row blocks get a map: the rows then meet no tail
-    kernel, on full clouds or picked, and each rounds the same.
-    """
-    n = order.shape[1]
-    m = -(-int(count[at].max()) // ROW_BLOCK) * ROW_BLOCK
-    return None if n % ROW_BLOCK or m >= n else (order[at, :m], inverse[at])
+    inverse = np.empty_like(at)
+    np.put_along_axis(inverse, at, np.cumsum(new, axis=1) - 1, axis=1)
+    return np.take_along_axis(at, np.argsort(~new, axis=1, kind="stable"), axis=1), new.sum(axis=1), inverse
 
 
 def _take(t: Tensor, index) -> Tensor:

@@ -220,12 +220,11 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
                         and sum(acc_window) / 5 >= cfg.early_stop_accuracy):
                     stopped = True
                     break
-            if stopped or (epoch + 1) % ckpt_every == 0:
+            if stopped or (epoch + 1) % ckpt_every == 0 or epoch + 1 == cfg.epochs:
                 save_checkpoint(model, ckpt_path)
                 saved = True
             if stopped:
                 break
-        save_checkpoint(model, ckpt_path)
     except TrainingError as e:
         kept = f"last checkpoint kept at {ckpt_path}" if saved else "this run wrote no checkpoint"
         raise TrainingError(f"{e}; {kept}") from None

@@ -17,6 +17,7 @@ from preid.data import (
     SynthConfig,
     extract_observations,
     generate_synthetic,
+    write_dataset,
     write_detections,
     write_frames,
     write_gt,
@@ -219,6 +220,30 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "Class" in out and "Pos. Pairs" in out and "car" in out
 
+    def test_inspect_counts_match_brute_force(self, tmp_path, capsys):
+        cfg = SynthConfig(n_objects={"car": 4, "pedestrian": 3}, frames=4, lam=24.0, fp_rate=1.5)
+        ds = extract_observations(*generate_synthetic(cfg, 5))
+        write_dataset(ds, tmp_path / "ds")
+        obs = ds.observations
+        assert ds.fp_index and len(ds.class_of) == 7
+        expected = {}
+        for cls in sorted(set(o.predicted_class for o in obs if not o.is_fp)) + ["Total"]:
+            mine = [o for o in obs if cls in ("Total", o.predicted_class)]
+            pairs = [(a, b) for i, a in enumerate(mine) for b in mine[i + 1:]
+                     if a.predicted_class == b.predicted_class and not (a.is_fp and b.is_fp)]
+            expected[cls] = [
+                len({o.object_id for o in mine if not o.is_fp}),
+                sum(1 for o in mine if cls == "Total" or not o.is_fp),
+                sum(1 for a, b in pairs if a.object_id == b.object_id),
+                sum(1 for a, b in pairs if a.object_id != b.object_id),
+            ]
+        assert main(["inspect", "--dataset", str(tmp_path / "ds")]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].split("  ")[0] == "Class"
+        printed = {row[0]: [int(v) for v in row[1:]] for row in map(str.split, lines[1:])
+                   if row[0] != "FP"}
+        assert printed == expected
+
     def test_bench_random_model(self, pipeline, capsys, tmp_path):
         out = tmp_path / "bench.json"
         assert main(["bench", "--batch", "4", "--trials", "3", "--warmup", "1",
@@ -310,6 +335,40 @@ class TestExitCodes:
                      flag, "0"]) == 2
         capsys.readouterr()
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("batch_size, checkpointed", [("8", True), ("2", False)])
+    def test_diverged_train_is_data_error(self, pipeline, tmp_path, capsys,
+                                          batch_size, checkpointed):
+        # lr 1e6 diverges at step 2: after two epoch checkpoints at batch 8,
+        # in epoch 0 at batch 2
+        run = tmp_path / "run"
+        with np.errstate(all="ignore"):
+            assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(run),
+                         "--epochs", "3", "--lr", "1e6", "--dim", "8", "--n-points", "16",
+                         "--batch-size", batch_size]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: non-finite") and len(err.splitlines()) == 1
+            assert (run / "model.ckpt").exists() == checkpointed
+            if checkpointed:  # the kept checkpoint loads
+                assert main(["eval", "--dataset", str(pipeline / "ds"), "--model", str(run),
+                             "--pairs", str(pipeline / "pairs.jsonl"),
+                             "--out", str(tmp_path / "report.json")]) == 0
+
+    @pytest.mark.parametrize("argv", [  # the last flag's value is malformed
+        ["fit-powerlaw", "--points", "a,b;1,2;3,4"],
+        ["fit-powerlaw", "--points", "1;2,3;4,5"],
+        ["fit-powerlaw", "--points", ""],
+        ["fit-powerlaw", "--points", "10,5;100,3;1000,2", "--grid", "x"],
+        ["fit-powerlaw", "--points", "10,5;100,3;1000,2", "--grid", ","],
+        ["curve", "--dataset", "d", "--model", "m", "--pairs", "p", "--thresholds", ""],
+        ["curve", "--dataset", "d", "--model", "m", "--pairs", "p", "--thresholds", "2,x"],
+        ["gen-synthetic", "--out", "o", "--lam", ""],
+    ], ids=lambda argv: " ".join(argv[-2:]))
+    def test_malformed_list_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 1
+        assert f"argument {argv[-2]}:" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("command, config", BAD_CONFIG_VALUES,
                              ids=[f"{cmd} {json.dumps(cfg)}" for cmd, cfg in BAD_CONFIG_VALUES])

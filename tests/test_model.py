@@ -360,18 +360,10 @@ class TestDistinctPoints:
         x = np.array([[[0, 1, 2], [-0.0, 1, 2], [0, 1, 2], [3, 3, 3]]], dtype=np.float32)
         order, count, inverse = network._distinct_rows(x)
         assert count.tolist() == [3]
-        assert order[0, :3].tolist() == [0, 1, 3]
-        assert inverse.tolist() == [[0, 1, 0, 2]]
-
-    def test_row_map_padding(self):
-        order = np.arange(24)[None].repeat(3, 0)
-        inverse = np.zeros((3, 24), dtype=int)
-        at = np.array([0, 2])
-        picked, _ = network._slice_rows(order, np.array([3, 24, 9]), inverse, at)
-        assert picked.shape == (2, 16)
-        # picking every row saves nothing, and partial row blocks get no map
-        assert network._slice_rows(order, np.array([3, 24, 17]), inverse, at) is None
-        assert network._slice_rows(order[:, :20], np.array([3, 20, 3]), inverse, at) is None
+        assert inverse[0, 0] != inverse[0, 1]  # +0.0 and -0.0 stay apart
+        assert inverse[0, 0] == inverse[0, 2]
+        assert x[0, order[0, inverse[0]]].tobytes() == x[0].tobytes()
+        assert sorted(order[0, :3].tolist()) == [0, 1, 3]
 
 
 class TestModelGradients:

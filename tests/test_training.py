@@ -6,9 +6,9 @@ import math
 import numpy as np
 import pytest
 
-from preid import nn
+from preid import nn, training
 from preid.data import SynthConfig, extract_observations, generate_synthetic
-from preid.model import EncoderConfig, ReidModel, RtmmConfig, load_checkpoint
+from preid.model import EncoderConfig, ReidModel, RtmmConfig, load_checkpoint, save_checkpoint
 from preid.nn import Tensor
 from preid.training import (
     AdamW,
@@ -190,6 +190,21 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=2, epochs=50, early_stop_accuracy=0.0, seed=0)
         report = train(model, ds, cfg, tmp_path / "run")
         assert report.stopped_early and report.steps == 5
+
+    @pytest.mark.parametrize("epochs, early_stop, saves", [(5, None, 5), (50, 0.0, 1)])
+    def test_each_checkpoint_written_once(self, tmp_path, monkeypatch, epochs, early_stop, saves):
+        # 5 epochs checkpoint after each; the early stop falls in epoch 1 of
+        # 50, before the first tenth-of-the-run checkpoint
+        calls = []
+
+        def counting(model, path):
+            calls.append(path)
+            return save_checkpoint(model, path)
+
+        monkeypatch.setattr(training, "save_checkpoint", counting)
+        cfg = TrainConfig(batch_size=2, epochs=epochs, early_stop_accuracy=early_stop, seed=0)
+        report = train(small_model(), small_dataset(), cfg, tmp_path / "run")
+        assert len(calls) == saves and report.stopped_early == (early_stop is not None)
 
     def test_model_frozen_after_training(self, tmp_path):
         ds = small_dataset()
