@@ -5,9 +5,12 @@ scene log, build an observation dataset from logs, build an eval set, train,
 evaluate, slice accuracy by density, fit a compute-scaling power law,
 benchmark inference, and inspect dataset statistics.
 
-Every command that writes output also records all effective values: a
-directory output holds resolved_config.json, and a file output such as
-pairs.jsonl gets pairs.resolved_config.json beside it.
+Every command that writes output also records its parsed flags, except
+--out, with each value that the command resolves in place of the flag of
+the same name: a config object's values under their config-file keys, and
+counts such as make-eval-set's n_pairs. A directory output holds
+resolved_config.json, and a file output such as pairs.jsonl gets
+pairs.resolved_config.json beside it.
 Flags are long-form only; a JSON config file may supply defaults and
 explicit flags win. Exit codes: 0 success, 1 usage error (a malformed
 flag value included), 2 data/format error or a diverged training run.
@@ -21,8 +24,6 @@ import inspect
 import json
 import sys
 from pathlib import Path
-
-import numpy as np
 
 from .data import (
     ConfigError,
@@ -48,7 +49,6 @@ from .evaluation import (
     evaluate,
     fit_power_law,
     predict_pairs,
-    report_from_predictions,
 )
 from .model import (
     EDGECONV_LITE,
@@ -57,7 +57,6 @@ from .model import (
     ReidModel,
     RtmmConfig,
     config_from_json,
-    config_to_json,
     load_checkpoint,
 )
 from .sampling import build_eval_set, read_eval_set, write_eval_set
@@ -84,14 +83,16 @@ def _write_json(path, obj) -> None:
         f.write("\n")
 
 
-def _resolved_config(out, command: str, values: dict) -> None:
-    """Record a command's effective values in its output directory, or beside
-    its output file under a name derived from it, so commands that write into
-    one directory keep each other's records."""
-    out = Path(out)
+def _resolved_config(args, **resolved) -> None:
+    """Record a command's parsed flags, each resolved value in place of the
+    flag of its name, in its output directory, or beside its output file
+    under a name derived from it, so commands that write into one directory
+    keep each other's records."""
+    out = Path(args.out)
     path = out / "resolved_config.json" if out.is_dir() else \
         out.with_name(f"{out.stem}.resolved_config.json")
-    _write_json(path, {"command": command, **values})
+    flags = {key: value for key, value in vars(args).items() if key not in ("func", "out")}
+    _write_json(path, {**flags, **resolved})
 
 
 # config-file keys that are not their field's name: the flags carry these
@@ -102,6 +103,12 @@ _RENAMED_KEYS = {"kind": "encoder", "out_dim": "dim"}
 def _keys(cls) -> dict[str, str]:
     """Map each config-file key of a config dataclass to the field it sets."""
     return {_RENAMED_KEYS.get(f.name, f.name): f.name for f in dataclasses.fields(cls)}
+
+
+def _config_keys(*configs) -> dict:
+    """The values of config objects under their config-file keys."""
+    return {key: getattr(cfg, field)
+            for cfg in configs for key, field in _keys(type(cfg)).items()}
 
 
 def _configure(path, args, *bases) -> list:
@@ -158,16 +165,6 @@ _PREDICT_DEFAULTS = _defaults(predict_pairs)
 _BENCH_DEFAULTS = _defaults(bench)
 
 
-def _parse_objects(text: str) -> dict[str, int]:
-    out = {}
-    for part in text.split(","):
-        if not part:
-            continue
-        cls, _, count = part.partition("=")
-        out[cls.strip()] = int(count)
-    return out
-
-
 def _parse_list(text: str, sep: str, item, what: str) -> list:
     """The items of a list flag; argparse reports an empty list or a bad item
     as a usage error naming the flag."""
@@ -197,6 +194,18 @@ def _parse_points(text: str) -> list[tuple[float, float]]:
     return _parse_list(text, ";", _parse_point, "semicolon-separated x,error pairs")
 
 
+def _parse_count(text: str) -> tuple[str, int]:
+    cls, count = text.split("=")
+    return cls.strip(), int(count)
+
+
+def _parse_objects(text: str) -> dict[str, int]:
+    counts = _parse_list(text, ",", _parse_count, "a comma list of class=count")
+    if len(dict(counts)) < len(counts):
+        raise argparse.ArgumentTypeError(f"a class is named twice in {text!r}")
+    return dict(counts)
+
+
 # -- subcommand handlers -------------------------------------------------
 
 
@@ -214,10 +223,7 @@ def _cmd_gen_synthetic(args) -> int:
     write_detections(detections, out / "detections.jsonl")
     write_gt(gt, out / "gt.jsonl")
     write_frames(frame_points, out)
-    _resolved_config(out, "gen-synthetic", {
-        "seed": args.seed, "preset": args.preset, "config": args.config,
-        **dataclasses.asdict(cfg),
-    })
+    _resolved_config(args, **_config_keys(cfg))
     print(f"wrote {len(detections)} detections over {cfg.frames} frames to {out}")
     return 0
 
@@ -233,9 +239,7 @@ def _cmd_build_dataset(args) -> int:
     except InputError as e:
         raise InputError(f"{src / 'detections.jsonl'}: {e}") from e
     write_dataset(ds, args.out)
-    _resolved_config(args.out, "build-dataset", {
-        "logs": str(src), "tau_c": args.tau_c, "tau_iou": args.tau_iou,
-    })
+    _resolved_config(args)
     print(f"extracted {len(ds)} observations of {ds.n_objects()} objects to {args.out}")
     return 0
 
@@ -245,11 +249,7 @@ def _cmd_make_eval_set(args) -> int:
     ev = build_eval_set(ds, max_pos_per_object=args.max_pos,
                         min_points=args.min_points, seed=args.seed)
     write_eval_set(ev, args.out)
-    _resolved_config(args.out, "make-eval-set", {
-        "dataset": str(args.dataset), "max_pos": args.max_pos,
-        "min_points": args.min_points, "seed": args.seed,
-        "n_pairs": len(ev.pairs), "skipped_negatives": ev.skipped_negatives,
-    })
+    _resolved_config(args, n_pairs=len(ev.pairs), skipped_negatives=ev.skipped_negatives)
     print(f"wrote {len(ev.pairs)} eval pairs to {args.out}")
     return 0
 
@@ -259,15 +259,8 @@ def _cmd_train(args) -> int:
         args.config, args, EncoderConfig(), RtmmConfig(), TrainConfig())
     ds = read_dataset(args.dataset)
     model = ReidModel(encoder_cfg, rtmm_cfg, seed=train_cfg.seed)
-    # written first, so a checkpoint that a diverged run keeps still loads
-    with atomic_write(Path(args.out) / "model_config.json") as f:
-        f.write(config_to_json(encoder_cfg, rtmm_cfg))
-    _resolved_config(args.out, "train", {
-        "dataset": str(args.dataset), "config": args.config, "seed": train_cfg.seed,
-        "encoder": dataclasses.asdict(encoder_cfg),
-        "rtmm": dataclasses.asdict(rtmm_cfg),
-        "train": dataclasses.asdict(train_cfg),
-    })
+    Path(args.out).mkdir(parents=True, exist_ok=True)  # so the record goes inside
+    _resolved_config(args, **_config_keys(encoder_cfg, rtmm_cfg, train_cfg))
     report = train(model, ds, train_cfg, args.out)
     print(f"trained {report.steps} steps over {report.epochs} epochs; "
           f"final loss {report.final_loss:.4f}, checkpoint {report.checkpoint_path}")
@@ -288,13 +281,9 @@ def _cmd_eval(args) -> int:
     model = _load_model(args.model)
     ev = read_eval_set(args.pairs, ds)
     report = evaluate(model, ev, ds, threshold=args.threshold, seed=args.seed)
-    out = Path(args.out)
-    _write_json(out, {**dataclasses.asdict(report),
-                      "threshold": args.threshold, "seed": args.seed})
-    _resolved_config(out, "eval", {
-        "dataset": str(args.dataset), "model": str(args.model),
-        "pairs": str(args.pairs), "threshold": args.threshold, "seed": args.seed,
-    })
+    _write_json(args.out, {**dataclasses.asdict(report),
+                           "threshold": args.threshold, "seed": args.seed})
+    _resolved_config(args)
     print(f"accuracy {report.accuracy:.4f}  f1_pos {report.f1_pos:.4f}  "
           f"f1_neg {report.f1_neg:.4f}  ({report.n_pairs} pairs)")
     return 0
@@ -307,17 +296,11 @@ def _cmd_curve(args) -> int:
     mode = {"both": BOTH_ATLEAST, "one": ONE_ATLEAST}[args.mode]
     pred = predict_pairs(model, ev, ds, threshold=args.threshold, seed=args.seed)
     rows = density_curve(pred, mode, args.thresholds)
-    out = Path(args.out)
-    with atomic_write(out) as f:
+    with atomic_write(args.out) as f:
         f.write("x,mode,accuracy,n_pairs\n")
         for x, acc, n in rows:
             f.write(f"{x},{args.mode},{acc:.6f},{n}\n")
-    _resolved_config(out, "curve", {
-        "dataset": str(args.dataset), "model": str(args.model),
-        "pairs": str(args.pairs), "mode": args.mode,
-        "thresholds": args.thresholds, "threshold": args.threshold,
-        "seed": args.seed,
-    })
+    _resolved_config(args)
     for x, acc, n in rows:
         print(f"x>={x:<5d} accuracy {acc:.4f}  ({n} pairs)")
     return 0
@@ -332,9 +315,7 @@ def _cmd_fit_powerlaw(args) -> int:
     }
     if args.out:
         _write_json(args.out, result)
-        _resolved_config(args.out, "fit-powerlaw", {
-            "points": args.points, "grid": args.grid,
-        })
+        _resolved_config(args)
     print(f"err(x) = {fit.eps_inf:g} + {fit.beta:.4g} * x^{fit.c:.4g}  "
           f"(residual {fit.residual:.3g})")
     return 0
@@ -349,10 +330,7 @@ def _cmd_bench(args) -> int:
                    warmup=args.warmup, seed=args.seed)
     if args.out:
         _write_json(args.out, dataclasses.asdict(report))
-        _resolved_config(args.out, "bench", {
-            "model": args.model, "batch": args.batch,
-            "trials": args.trials, "warmup": args.warmup, "seed": args.seed,
-        })
+        _resolved_config(args)
     print(f"batch {report.batch_size}: {report.mean_ms:.2f} ms "
           f"+/- {report.stderr_ms:.2f} ms  ({report.pairs_per_sec:.0f} pairs/sec)")
     return 0

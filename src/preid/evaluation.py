@@ -77,7 +77,13 @@ def predict_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
                   threshold: float = 0.5, seed: int = 0) -> PairPredictions:
     if not eval_set.pairs:
         raise ValueError("eval set is empty")
-    logits = _score_pairs(model, eval_set, ds, seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
+        logits = _score_pairs(model, eval_set, ds, seed)
+    bad = ~np.isfinite(logits)
+    if bad.any():
+        first = eval_set.pairs[int(np.argmax(bad))]
+        raise ValueError(f"{int(bad.sum())} of {len(logits)} pairs scored a non-finite "
+                         f"logit; the first is ({first.obs_a}, {first.obs_b})")
     probs = 1.0 / (1.0 + np.exp(-logits))
     pred_match = probs >= threshold
     is_match = np.array([p.label == MATCH for p in eval_set.pairs])

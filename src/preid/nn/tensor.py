@@ -85,25 +85,17 @@ class Tensor:
 
         topo: list[Tensor] = []
         seen = set()
-
-        def visit(node: Tensor):
-            stack = [(node, False)]
-            while stack:
-                n, done = stack.pop()
-                if done:
-                    topo.append(n)
-                    continue
-                if id(n) in seen:
-                    continue
-                seen.add(id(n))
-                stack.append((n, True))
-                for p in n._parents:
-                    stack.append((p, False))
-
-        visit(self)
-        for node in topo:
-            if node._backward is not None and node._spent:
-                raise GradError("backward called twice on the same graph; re-run the forward pass")
+        stack = [(self, False)]
+        while stack:
+            node, done = stack.pop()
+            if done:
+                topo.append(node)
+            elif id(node) not in seen:
+                if node._spent:
+                    raise GradError("backward called twice on the same graph; re-run the forward pass")
+                seen.add(id(node))
+                stack.append((node, True))
+                stack.extend((p, False) for p in node._parents)
 
         grads: dict[int, np.ndarray] = {id(self): grad}
         for node in reversed(topo):
@@ -113,18 +105,10 @@ class Tensor:
             if node._backward is not None:
                 node._spent = True
                 for parent, pg in node._backward(g):
-                    if pg is None:
-                        continue
                     key = id(parent)
-                    if key in grads:
-                        grads[key] = grads[key] + pg
-                    else:
-                        grads[key] = pg
+                    grads[key] = grads[key] + pg if key in grads else pg
             elif node.requires_grad:
-                if node.grad is None:
-                    node.grad = g.copy()
-                else:
-                    node.grad = node.grad + g
+                node.grad = g.copy() if node.grad is None else node.grad + g
 
     # -- operator sugar --------------------------------------------------
 

@@ -21,9 +21,10 @@ from . import nn
 from .data.io import write_records
 from .data.records import ReidDataset
 from .model.checkpoint import save_checkpoint
+from .model.config import config_to_json
 from .model.network import ReidModel, resample_points
 from .sampling import MATCH, even_epoch, uniform_epoch
-from .util import check_numbers, keyed_rng, stable_hash
+from .util import atomic_write, check_numbers, keyed_rng, stable_hash
 
 EVEN = "even"
 UNIFORM = "uniform"
@@ -155,6 +156,9 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
         raise ValueError("cannot train on an empty dataset")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    # written first, so a checkpoint that a diverged run keeps still loads
+    with atomic_write(out_dir / "model_config.json") as f:
+        f.write(config_to_json(model.encoder_cfg, model.rtmm_cfg))
     sampler = even_epoch if cfg.sampler == EVEN else uniform_epoch
     n_objects = ds.n_objects()
     steps_per_epoch = math.ceil(n_objects / cfg.batch_size)

@@ -90,9 +90,6 @@ def overfit_run(tmp_path_factory):
     t0 = time.perf_counter()
     report = train(model, ds, TrainConfig(**OVERFIT_TRAIN), run_dir)
     elapsed = time.perf_counter() - t0
-    from preid.model import config_to_json
-    (run_dir / "model_config.json").write_text(
-        config_to_json(OVERFIT_ENCODER, OVERFIT_HEAD))
     return report, elapsed, run_dir
 
 

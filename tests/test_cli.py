@@ -1,5 +1,6 @@
 """Command-line interface: subcommand round trips and the exit-code contract."""
 
+import argparse
 import dataclasses
 import hashlib
 import inspect
@@ -17,15 +18,16 @@ from preid.data import (
     SynthConfig,
     extract_observations,
     generate_synthetic,
+    read_dataset,
     write_dataset,
     write_detections,
     write_frames,
     write_gt,
 )
 from preid.evaluation import bench, evaluate, predict_pairs
-from preid.model import EncoderConfig, ReidModel, RtmmConfig
+from preid.model import EncoderConfig, ReidModel, RtmmConfig, config_from_json, load_checkpoint
 from preid.sampling import build_eval_set
-from preid.training import TrainConfig, TrainReport
+from preid.training import TrainConfig, TrainReport, train
 from test_acceptance import BENCH_ENCODER, BENCH_HEAD, BENCH_TRAIN
 
 
@@ -132,6 +134,43 @@ CRITERION_7_CONFIG = {
 }
 
 
+# each command that writes a record: its flags other than --out, its --out
+# (relative to the test's directory) and where its record goes
+WRITING_COMMANDS = [
+    ("gen-synthetic", ["--objects", "car=2", "--frames", "2"],
+     "logs", "logs/resolved_config.json"),
+    ("build-dataset", ["--logs", "{logs}"], "ds", "ds/resolved_config.json"),
+    ("make-eval-set", ["--dataset", "{ds}"], "pairs.jsonl", "pairs.resolved_config.json"),
+    ("train", ["--dataset", "{ds}", "--epochs", "1", "--dim", "8", "--n-points", "16"],
+     "run", "run/resolved_config.json"),
+    ("eval", ["--dataset", "{ds}", "--model", "{run}", "--pairs", "{pairs}"],
+     "report.json", "report.resolved_config.json"),
+    ("curve", ["--dataset", "{ds}", "--model", "{run}", "--pairs", "{pairs}"],
+     "curve.csv", "curve.resolved_config.json"),
+    ("fit-powerlaw", ["--points", "10,5.0;100,3.0;1000,2.1"],
+     "powerlaw.json", "powerlaw.resolved_config.json"),
+    ("bench", ["--batch", "2", "--trials", "1", "--warmup", "0"],
+     "bench.json", "bench.resolved_config.json"),
+]
+
+
+def flag_dests(command):
+    """The argparse dests of a subcommand's flags."""
+    parser = preid.cli._build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def config_keys(encoder, rtmm, train_cfg):
+    """Config objects' values under their config-file keys: encoder sets kind,
+    and dim sets both out_dim and the head's dim."""
+    keys = {**dataclasses.asdict(encoder), **dataclasses.asdict(rtmm),
+            **dataclasses.asdict(train_cfg)}
+    keys["encoder"] = keys.pop("kind")
+    assert keys.pop("out_dim") == keys["dim"]
+    return keys
+
+
 def assert_same_params(model, other):
     assert model.params.names() == other.params.names()
     for (_, t), (_, want) in zip(model.params.items(), other.params.items()):
@@ -193,6 +232,32 @@ class TestPipeline:
             resolved = json.loads((tmp_path / f"{stem}.resolved_config.json").read_text())
             assert resolved["command"] == command
         assert not (tmp_path / "resolved_config.json").exists()
+
+    @pytest.mark.parametrize("command, flags, out, record", WRITING_COMMANDS,
+                             ids=[case[0] for case in WRITING_COMMANDS])
+    def test_record_holds_every_flag(self, pipeline, tmp_path, capsys,
+                                     command, flags, out, record):
+        paths = {name: str(pipeline / name) for name in ("logs", "ds", "run")}
+        paths["pairs"] = str(pipeline / "pairs.jsonl")
+        argv = [command, *(flag.format(**paths) for flag in flags), "--out", str(tmp_path / out)]
+        assert main(argv) == 0
+        capsys.readouterr()
+        resolved = json.loads((tmp_path / record).read_text())
+        assert resolved["command"] == command
+        assert flag_dests(command) - {"out"} <= set(resolved)
+        assert "out" not in resolved
+
+    def test_library_run_loads_with_eval(self, pipeline, tmp_path, capsys):
+        # the configs of the pipeline's run, trained through the library alone
+        model = ReidModel(EncoderConfig(out_dim=8, n_points=16), RtmmConfig(layers=1, dim=8))
+        train(model, read_dataset(pipeline / "ds"), TrainConfig(epochs=1, batch_size=4),
+              tmp_path / "run")
+        assert (tmp_path / "run" / "model_config.json").read_bytes() == \
+            (pipeline / "run" / "model_config.json").read_bytes()
+        assert main(["eval", "--dataset", str(pipeline / "ds"), "--model", str(tmp_path / "run"),
+                     "--pairs", str(pipeline / "pairs.jsonl"),
+                     "--out", str(tmp_path / "report.json")]) == 0
+        assert "accuracy" in capsys.readouterr().out
 
     def test_eval_and_report(self, pipeline, capsys):
         out = pipeline / "report.json"
@@ -349,10 +414,16 @@ class TestExitCodes:
             err = capsys.readouterr().err
             assert err.startswith("error: non-finite") and len(err.splitlines()) == 1
             assert (run / "model.ckpt").exists() == checkpointed
-            if checkpointed:  # the kept checkpoint loads
+            if checkpointed:  # the kept checkpoint loads, but its logits are not finite
+                load_checkpoint(run / "model.ckpt",
+                                *config_from_json((run / "model_config.json").read_text()))
                 assert main(["eval", "--dataset", str(pipeline / "ds"), "--model", str(run),
                              "--pairs", str(pipeline / "pairs.jsonl"),
-                             "--out", str(tmp_path / "report.json")]) == 0
+                             "--out", str(tmp_path / "report.json")]) == 2
+                err = capsys.readouterr().err
+                assert err.startswith("error: ") and "non-finite logit" in err
+                assert len(err.splitlines()) == 1
+                assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize("argv", [  # the last flag's value is malformed
         ["fit-powerlaw", "--points", "a,b;1,2;3,4"],
@@ -363,6 +434,10 @@ class TestExitCodes:
         ["curve", "--dataset", "d", "--model", "m", "--pairs", "p", "--thresholds", ""],
         ["curve", "--dataset", "d", "--model", "m", "--pairs", "p", "--thresholds", "2,x"],
         ["gen-synthetic", "--out", "o", "--lam", ""],
+        ["gen-synthetic", "--out", "o", "--objects", ""],
+        ["gen-synthetic", "--out", "o", "--objects", "car"],
+        ["gen-synthetic", "--out", "o", "--objects", "car=x"],
+        ["gen-synthetic", "--out", "o", "--objects", "car=1,car=2"],
     ], ids=lambda argv: " ".join(argv[-2:]))
     def test_malformed_list_flag_is_usage_error(self, tmp_path, capsys, monkeypatch, argv):
         monkeypatch.chdir(tmp_path)
@@ -604,10 +679,9 @@ class TestTrainConfig:
         model, cfg = fake_train["model"], fake_train["cfg"]
         assert model.encoder_cfg == EncoderConfig() and model.rtmm_cfg == RtmmConfig()
         assert cfg == TrainConfig()
-        resolved = self._resolved(run)
-        assert resolved["encoder"] == dataclasses.asdict(EncoderConfig())
-        assert resolved["rtmm"] == dataclasses.asdict(RtmmConfig())
-        assert resolved["train"] == dataclasses.asdict(TrainConfig())
+        assert self._resolved(run) == {
+            "command": "train", "dataset": str(pipeline / "ds"), "config": None,
+            **config_keys(EncoderConfig(), RtmmConfig(), TrainConfig())}
 
     def test_config_keys_and_flags(self, pipeline, tmp_path, fake_train):
         cfg = tmp_path / "cfg.json"
@@ -642,16 +716,27 @@ class TestTrainConfig:
         for obj in (encoder, rtmm, train_cfg):
             for f in dataclasses.fields(obj):
                 assert getattr(obj, f.name) != getattr(type(obj)(), f.name)
-        config = {**dataclasses.asdict(encoder), **dataclasses.asdict(rtmm),
-                  **dataclasses.asdict(train_cfg)}
-        config["encoder"] = config.pop("kind")
-        assert config.pop("out_dim") == config["dim"]   # dim sets both widths
+        config = config_keys(encoder, rtmm, train_cfg)
         assert self._train(pipeline, tmp_path / "run", config) == 0
         model, got = fake_train["model"], fake_train["cfg"]
         assert (model.encoder_cfg, model.rtmm_cfg, got) == (encoder, rtmm, train_cfg)
-        resolved = self._resolved(tmp_path / "run")
-        assert resolved["config"] == str(tmp_path / "cfg.json")
-        assert resolved["train"] == dataclasses.asdict(train_cfg)
+        assert self._resolved(tmp_path / "run") == {
+            "command": "train", "dataset": str(pipeline / "ds"),
+            "config": str(tmp_path / "cfg.json"), **config}
+
+    def test_record_is_a_config_file(self, pipeline, tmp_path, fake_train):
+        # a record, less command, dataset and config, rebuilds the run's configs
+        assert self._train(pipeline, tmp_path / "a", {"encoder": "edgeconv_lite", "knn": 5,
+                                                      "hidden": [8, 4], "target_ratio_up": 5.0},
+                           "--dim", "12", "--n-points", "16", "--lr", "0.002",
+                           "--early-stop-accuracy", "0.9") == 0
+        first = (fake_train["model"].encoder_cfg, fake_train["model"].rtmm_cfg, fake_train["cfg"])
+        record = self._resolved(tmp_path / "a")
+        config = {k: v for k, v in record.items() if k not in ("command", "dataset", "config")}
+        assert self._train(pipeline, tmp_path / "b", config) == 0
+        assert (fake_train["model"].encoder_cfg, fake_train["model"].rtmm_cfg,
+                fake_train["cfg"]) == first
+        assert self._resolved(tmp_path / "b") == record
 
     def test_criterion_7_model_from_config(self, pipeline, tmp_path, fake_train):
         assert self._train(pipeline, tmp_path / "run", CRITERION_7_CONFIG) == 0

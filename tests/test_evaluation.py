@@ -1,5 +1,7 @@
 """Metrics arithmetic, density curves, power-law fitting, benchmark harness."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -195,6 +197,17 @@ class TestEvaluate:
         assert len(p.correct) == len(ev.pairs)
         assert list(p.is_match) == [q.label == MATCH for q in ev.pairs]
         np.testing.assert_array_equal(p.densities, np.asarray(ev.densities))
+
+    def test_non_finite_logits_are_an_error(self):
+        ds, ev = tiny_eval_setup()
+        model = tiny_model()
+        for _, t in model.params.items():  # finite weights whose logits overflow
+            t.data = t.data * np.float32(1e5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # reported once, by the error, not by warnings
+            with pytest.raises(ValueError, match=r"^8 of 8 pairs scored a non-finite logit; "
+                                                 r"the first is \(o00, o01\)$"):
+                predict_pairs(model, ev, ds)
 
 
 class TestBench:
