@@ -48,6 +48,10 @@ def extract_observations(
     tau_c: float = 0.1,
     tau_iou: float = 0.01,
 ) -> ReidDataset:
+    if not 0 <= tau_c < 1:
+        raise ValueError(f"extract_observations tau_c must lie in [0, 1), got {tau_c}")
+    if not 0 < tau_iou <= 1:
+        raise ValueError(f"extract_observations tau_iou must lie in (0, 1], got {tau_iou}")
     by_frame_det: dict[int, list[tuple[int, DetectionRecord]]] = {}
     for i, det in enumerate(detections):
         by_frame_det.setdefault(det.frame, []).append((i, det))

@@ -12,7 +12,7 @@ import scipy.optimize
 from .data.records import ReidDataset
 from .model.network import ReidModel, resample_points
 from .sampling import MATCH, EvalSet
-from .util import keyed_rng, stable_hash
+from .util import keyed_rng
 
 BOTH_ATLEAST = "both"
 ONE_ATLEAST = "one"
@@ -65,9 +65,8 @@ def _score_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
         for pair in chunk:
             for key in ((pair.obs_a, 0), (pair.obs_b, 1)):
                 if key not in clouds:
-                    obs, side = key
                     clouds[key] = resample_points(
-                        ds.get(obs).points, n, keyed_rng(seed, "evalpts", stable_hash(obs), side))
+                        ds.get(key[0]).points, n, keyed_rng(seed, "evalpts", *key))
         logits[lo:lo + len(chunk)] = model.score_batch(
             [(clouds[p.obs_a, 0], clouds[p.obs_b, 1]) for p in chunk])
     return logits

@@ -8,14 +8,14 @@ construction makes the score symmetric in its two inputs up to float
 rounding.
 
 Two stages make the model. The per-observation stage reads one cloud alone:
-the encoder and the first block's key summary K^T V, sum(K), which by
-associativity does not depend on the partner. The per-pair stage is the rest.
-Training runs both on whole clouds as one graph. ``score_batch`` runs the
-first once per distinct cloud of its pairs and every layer after the encoder
-once per distinct point, expanding rows back wherever a set reduction reads
-them, so its logits equal those of full clouds bit for bit. A side past its
-cloud's own rows repeats the cloud's last row; only row-wise layers see such
-rows, because the set reductions read rows through the cloud's row map.
+the encoder and the first block's key summary φ(K)ᵀV and column Σφ(K), which
+by associativity does not depend on the partner. The per-pair stage is the
+rest. Training runs both on whole clouds as one graph. ``score_batch`` runs
+the first once per distinct cloud of its pairs and every layer after the
+encoder once per distinct point, expanding rows back wherever a set reduction
+reads them, so its logits equal those of full clouds bit for bit. A side past
+its cloud's own rows repeats the cloud's last row; only row-wise layers see
+such rows, because the set reductions read rows through the cloud's row map.
 """
 
 from __future__ import annotations
@@ -131,20 +131,19 @@ class _CfaBlock:
         self.ln_out = _LayerNorm(params, f"{name}.ln_out", d, dtype)
 
     def summarize(self, keys: Tensor, rows=None):
-        """Linear attention's key side (φ(K)ᵀV, Σφ(K)) over keys[rows]; it does
-        not read the queries (Katharopoulos et al. 2020)."""
+        """Linear attention's key side over keys[rows], φ(K)ᵀV and the column
+        Σφ(K), neither of which reads the queries (Katharopoulos et al. 2020)."""
         if keys.shape[-2] == 0:
             raise nn.ShapeError("linear attention requires at least one key")
-        k = _take(nn.elu_plus_one(nn.linear(keys, self.wk)), rows)
+        kt = nn.swapaxes(_take(nn.elu_plus_one(nn.linear(keys, self.wk)), rows), -1, -2)
         v = _take(nn.linear(keys, self.wv), rows)
-        return nn.swapaxes(k, -1, -2) @ v, nn.tsum(k, axis=-2, keepdims=True)
+        return kt @ v, nn.tsum(kt, axis=-1, keepdims=True)
 
     def lca(self, q_feat: Tensor, summary) -> Tensor:
         """φ(Q)(φ(K)ᵀV) / φ(Q)Σφ(K) of q_feat's rows over a key summary."""
         kv, ksum = summary
         q = nn.elu_plus_one(nn.linear(q_feat, self.wq))
-        den = q @ nn.swapaxes(ksum, -1, -2)
-        return self.out((q @ kv) / nn.maximum_scalar(den, ATTN_EPS))
+        return self.out((q @ kv) / nn.maximum_scalar(q @ ksum, ATTN_EPS))
 
     def __call__(self, f_q, f_kv, x_kv, kv_rows=None):
         """f_q's rows attend to keys f_kv + pos(x_kv), with kv_rows naming
@@ -211,8 +210,8 @@ class ReidModel:
         return nn.reshape(self.head(h), pooled.shape[:-1])
 
     def _observe(self, x) -> tuple:
-        """The per-observation stage of whole clouds x (B, n, 3)."""
-        x = x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=self.dtype))
+        """The per-observation stage of whole clouds, an array x (B, n, 3)."""
+        x = Tensor(np.asarray(x, dtype=self.dtype))
         f = self.encode(x)
         return f, x, None, self.cfa[0](None, f, x)
 

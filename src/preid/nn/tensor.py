@@ -38,8 +38,6 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_spent")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
-        if isinstance(data, Tensor):
-            data = data.data
         if dtype is not None:
             arr = np.asarray(data, dtype=dtype)
         elif isinstance(data, (np.ndarray, np.generic)) and data.dtype == np.float64:
@@ -61,15 +59,8 @@ class Tensor:
     def dtype(self):
         return self.data.dtype
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
     def __repr__(self):
         return f"Tensor(shape={self.shape}, dtype={self.data.dtype.name}, grad={self.requires_grad})"
-
-    def zero_grad(self):
-        self.grad = None
 
     def item(self) -> float:
         return float(self.data)
@@ -115,26 +106,14 @@ class Tensor:
     def __add__(self, other):
         return add(self, lift(other, self.dtype))
 
-    def __radd__(self, other):
-        return add(lift(other, self.dtype), self)
-
     def __sub__(self, other):
         return sub(self, lift(other, self.dtype))
-
-    def __rsub__(self, other):
-        return sub(lift(other, self.dtype), self)
 
     def __mul__(self, other):
         return mul(self, lift(other, self.dtype))
 
-    def __rmul__(self, other):
-        return mul(lift(other, self.dtype), self)
-
     def __truediv__(self, other):
         return div(self, lift(other, self.dtype))
-
-    def __neg__(self):
-        return mul(self, lift(-1.0, self.dtype))
 
     def __matmul__(self, other):
         return matmul(self, other)
@@ -331,9 +310,7 @@ def tsum(x: Tensor, axis=None, keepdims: bool = False) -> Tensor:
     data = x.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            return ((x, np.broadcast_to(g, x.shape).copy()),)
-        if not keepdims:
+        if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
         return ((x, np.broadcast_to(g, x.shape).copy()),)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from .data.io import read_records, write_records
 from .data.records import FormatError, ReidDataset
 from .geometry import bucket_index
-from .util import keyed_rng, stable_hash
+from .util import keyed_rng
 
 MATCH = "MATCH"
 NON_MATCH = "NON_MATCH"
@@ -129,7 +129,7 @@ def _epoch(ds: ReidDataset, seed: int, epoch: int, even: bool,
     index = _Index(ds)
     out: list[PairSample] = []
     for object_id in index.objects:
-        rng = keyed_rng(seed, epoch, stable_hash(object_id))
+        rng = keyed_rng(seed, epoch, object_id)
         obs = index.obs_of[object_id]
         if not obs:
             continue
@@ -174,10 +174,13 @@ def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
     negative whose partner falls in the same density bucket."""
     if len(ds) == 0:
         raise ValueError("dataset is empty")
+    for name, value in (("max_pos_per_object", max_pos_per_object), ("min_points", min_points)):
+        if value < 1:
+            raise ValueError(f"build_eval_set {name} must be at least 1, got {value}")
     index = _Index(ds, min_points=min_points)
     ev = EvalSet()
     for object_id in index.objects:
-        rng = keyed_rng(seed, "eval", stable_hash(object_id))
+        rng = keyed_rng(seed, "eval", object_id)
         obs = index.obs_of[object_id]
         if len(obs) < 2:
             continue
@@ -232,8 +235,6 @@ def read_eval_set(path, ds: ReidDataset) -> EvalSet:
     """Read pairs.jsonl, checking each pair against the dataset it was built from."""
     ev = EvalSet()
     for where, rec in read_records(path, _PAIR_KEYS):
-        if rec["label"] not in (MATCH, NON_MATCH):
-            raise FormatError(f"{where}: label {rec['label']!r} is not {MATCH} or {NON_MATCH}")
         for side in "ab":
             obs_id, n = rec[f"obs_{side}"], rec[f"n_{side}"]
             if obs_id not in ds:
@@ -241,8 +242,12 @@ def read_eval_set(path, ds: ReidDataset) -> EvalSet:
             if ds.get(obs_id).n_points != n:
                 raise FormatError(f"{where}: n_{side} is {n}, but observation {obs_id!r} "
                                   f"has {ds.get(obs_id).n_points} points")
-        is_fp = rec["label"] == NON_MATCH and ds.get(rec["obs_b"]).is_fp
-        ev.pairs.append(PairSample(rec["obs_a"], rec["obs_b"], rec["label"],
-                                   rec["class"], is_fp_pair=is_fp))
+        a, b = ds.get(rec["obs_a"]), ds.get(rec["obs_b"])
+        label = MATCH if not a.is_fp and a.object_id == b.object_id else NON_MATCH
+        if (rec["label"], rec["class"]) != (label, a.predicted_class):
+            raise FormatError(f"{where}: the pair is {label!r} of class {a.predicted_class!r}, "
+                              f"not {rec['label']!r} of class {rec['class']!r}")
+        ev.pairs.append(PairSample(a.observation_id, b.observation_id, label,
+                                   a.predicted_class, is_fp_pair=label == NON_MATCH and b.is_fp))
         ev.densities.append((rec["n_a"], rec["n_b"]))
     return ev

@@ -24,7 +24,7 @@ from .model.checkpoint import save_checkpoint
 from .model.config import config_to_json
 from .model.network import ReidModel, resample_points
 from .sampling import MATCH, even_epoch, uniform_epoch
-from .util import atomic_write, check_numbers, keyed_rng, stable_hash
+from .util import atomic_write, check_numbers, keyed_rng
 
 EVEN = "even"
 UNIFORM = "uniform"
@@ -139,8 +139,8 @@ def clip_gradients(params: nn.ParameterStore, max_norm: float = 1.0) -> float:
 def _pack_batch(ds: ReidDataset, pairs, n_points: int, seed: int, epoch: int):
     a, b, labels = [], [], []
     for pair in pairs:
-        rng_a = keyed_rng(seed, "pts", epoch, stable_hash(pair.obs_a), 0)
-        rng_b = keyed_rng(seed, "pts", epoch, stable_hash(pair.obs_b), 1)
+        rng_a = keyed_rng(seed, "pts", epoch, pair.obs_a, 0)
+        rng_b = keyed_rng(seed, "pts", epoch, pair.obs_b, 1)
         a.append(resample_points(ds.get(pair.obs_a).points, n_points, rng_a))
         b.append(resample_points(ds.get(pair.obs_b).points, n_points, rng_b))
         labels.append(1.0 if pair.label == MATCH else 0.0)
@@ -151,6 +151,7 @@ def _ms(seconds: float) -> float:
     return round(seconds * 1e3, 3)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a diverging step raises TrainingError
 def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> TrainReport:
     if len(ds) == 0 or not ds.index:
         raise ValueError("cannot train on an empty dataset")

@@ -8,6 +8,7 @@ import json
 import math
 import shutil
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -88,6 +89,9 @@ MALFORMED_PAIRS = {
     "unknown label": lambda rec: {**rec, "label": "maybe"},
     "unknown observation": lambda rec: {**rec, "obs_b": "no-such-observation"},
     "n_a mismatch": lambda rec: {**rec, "n_a": rec["n_a"] + 1},
+    "flipped label": lambda rec: {**rec, "label": "NON_MATCH" if rec["label"] == "MATCH"
+                                  else "MATCH"},
+    "other class": lambda rec: {**rec, "class": "bus"},
 }
 
 # ways to break a run's model_config.json
@@ -407,7 +411,8 @@ class TestExitCodes:
         # lr 1e6 diverges at step 2: after two epoch checkpoints at batch 8,
         # in epoch 0 at batch 2
         run = tmp_path / "run"
-        with np.errstate(all="ignore"):
+        with warnings.catch_warnings():  # the error line is all that is printed
+            warnings.simplefilter("error")
             assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(run),
                          "--epochs", "3", "--lr", "1e6", "--dim", "8", "--n-points", "16",
                          "--batch-size", batch_size]) == 2
@@ -424,6 +429,29 @@ class TestExitCodes:
                 assert err.startswith("error: ") and "non-finite logit" in err
                 assert len(err.splitlines()) == 1
                 assert not (tmp_path / "report.json").exists()
+
+    @pytest.mark.parametrize("command, flag, value, name", [
+        ("make-eval-set", "--max-pos", "-1", "max_pos_per_object"),
+        ("make-eval-set", "--max-pos", "0", "max_pos_per_object"),
+        ("make-eval-set", "--min-points", "0", "min_points"),
+        ("build-dataset", "--tau-iou", "0", "tau_iou"),
+        ("build-dataset", "--tau-iou", "-1", "tau_iou"),
+        ("build-dataset", "--tau-iou", "1.5", "tau_iou"),
+        ("build-dataset", "--tau-iou", "nan", "tau_iou"),
+        ("build-dataset", "--tau-c", "-0.1", "tau_c"),
+        ("build-dataset", "--tau-c", "1.0", "tau_c"),
+        ("build-dataset", "--tau-c", "nan", "tau_c"),
+    ])
+    def test_out_of_range_gate_is_data_error(self, pipeline, tmp_path, capsys,
+                                             command, flag, value, name):
+        source = (["--logs", str(pipeline / "logs")] if command == "build-dataset"
+                  else ["--dataset", str(pipeline / "ds")])
+        out = tmp_path / "out"
+        assert main([command, *source, "--out", str(out), flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f" {name} " in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("argv", [  # the last flag's value is malformed
         ["fit-powerlaw", "--points", "a,b;1,2;3,4"],

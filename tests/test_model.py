@@ -1,5 +1,6 @@
 """Encoders, cross-attention block, matching head, checkpoints."""
 
+import dataclasses
 import re
 import struct
 
@@ -24,6 +25,7 @@ from preid.model import (
 )
 from preid.model import network
 from preid.nn import Tensor
+from test_acceptance import BENCH_ENCODER, BENCH_HEAD
 
 
 def micro_model(seed=0, dtype=np.float64, kind=POINTNET_LITE):
@@ -402,6 +404,23 @@ class TestModelGradients:
                 rel = abs(analytic.reshape(-1)[i] - numeric) / max(abs(numeric), 1e-3)
                 worst = max(worst, rel)
         assert worst < 1e-4
+
+    @pytest.mark.parametrize("kind, nodes", [(POINTNET_LITE, 124), (EDGECONV_LITE, 126)])
+    def test_train_step_tape_nodes(self, kind, nodes):
+        # one train step at criterion 7's shape (batch 63, 64 points, dim 32);
+        # each attention call takes Σφ(K) as a column, with no transpose
+        model = ReidModel(dataclasses.replace(BENCH_ENCODER, kind=kind), BENCH_HEAD, seed=0)
+        model.params.set_requires_grad(True)
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(63, 64, 3)), rng.normal(size=(63, 64, 3))
+        loss = nn.bce_with_logits(model.forward_logits(a, b), np.zeros(63))
+        taped, stack = set(), [loss]
+        while stack:
+            node = stack.pop()
+            if id(node) not in taped and node._backward is not None:
+                taped.add(id(node))
+                stack.extend(node._parents)
+        assert len(taped) == nodes
 
 
 class TestCheckpoints:

@@ -1,13 +1,14 @@
 """Pair samplers: bucket conditioning, fallbacks, eval-set construction."""
 
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from preid.data import Observation, ReidDataset
+from preid.data import FormatError, Observation, ReidDataset
 from preid.sampling import (
     MATCH,
     NON_MATCH,
@@ -228,6 +229,23 @@ class TestEvalSet:
         back = read_eval_set(tmp_path / "pairs.jsonl", ds)
         assert back.pairs == ev.pairs
         assert back.densities == ev.densities
+
+    @pytest.mark.parametrize("label, edit", [
+        (MATCH, {"label": NON_MATCH}),
+        (NON_MATCH, {"label": MATCH}),
+        (MATCH, {"cls": "bus"}),
+        (MATCH, {"label": NON_MATCH, "cls": "bus"}),
+    ])
+    def test_read_checks_label_and_class(self, tmp_path, label, edit):
+        # MATCH exactly when both observations belong to one object, and the
+        # class is obs_a's predicted class
+        ds = make_ds({"a": [8, 9, 10], "b": [8, 9]}, fp_spec=[8, 9])
+        ev = build_eval_set(ds, seed=2)
+        i = next(i for i, p in enumerate(ev.pairs) if p.label == label)
+        ev.pairs[i] = dataclasses.replace(ev.pairs[i], **edit)
+        write_eval_set(ev, tmp_path / "pairs.jsonl")
+        with pytest.raises(FormatError, match=re.escape(f"pairs.jsonl:{i + 1}: ")):
+            read_eval_set(tmp_path / "pairs.jsonl", ds)
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
