@@ -46,9 +46,9 @@ from .evaluation import (
     ONE_ATLEAST,
     bench,
     density_curve,
-    evaluate,
     fit_power_law,
     predict_pairs,
+    report_from_predictions,
 )
 from .model import (
     EDGECONV_LITE,
@@ -160,7 +160,6 @@ def _defaults(fn) -> dict:
 
 _EXTRACT_DEFAULTS = _defaults(extract_observations)
 _EVAL_SET_DEFAULTS = _defaults(build_eval_set)
-_EVALUATE_DEFAULTS = _defaults(evaluate)
 _PREDICT_DEFAULTS = _defaults(predict_pairs)
 _BENCH_DEFAULTS = _defaults(bench)
 
@@ -276,11 +275,15 @@ def _load_model(model_dir) -> ReidModel:
     return load_checkpoint(Path(model_dir) / "model.ckpt", encoder_cfg, rtmm_cfg)
 
 
-def _cmd_eval(args) -> int:
+def _predict(args):
     ds = read_dataset(args.dataset)
     model = _load_model(args.model)
     ev = read_eval_set(args.pairs, ds)
-    report = evaluate(model, ev, ds, threshold=args.threshold, seed=args.seed)
+    return predict_pairs(model, ev, ds, threshold=args.threshold, seed=args.seed)
+
+
+def _cmd_eval(args) -> int:
+    report = report_from_predictions(_predict(args))
     _write_json(args.out, {**dataclasses.asdict(report),
                            "threshold": args.threshold, "seed": args.seed})
     _resolved_config(args)
@@ -290,12 +293,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_curve(args) -> int:
-    ds = read_dataset(args.dataset)
-    model = _load_model(args.model)
-    ev = read_eval_set(args.pairs, ds)
-    mode = {"both": BOTH_ATLEAST, "one": ONE_ATLEAST}[args.mode]
-    pred = predict_pairs(model, ev, ds, threshold=args.threshold, seed=args.seed)
-    rows = density_curve(pred, mode, args.thresholds)
+    rows = density_curve(_predict(args), args.mode, args.thresholds)
     with atomic_write(args.out) as f:
         f.write("x,mode,accuracy,n_pairs\n")
         for x, acc, n in rows:
@@ -425,30 +423,25 @@ def _build_parser() -> _Parser:
                    help="stop once running batch accuracy reaches this level")
     p.set_defaults(func=_cmd_train)
 
-    p = sub.add_parser("eval", help="evaluate a model on an eval set")
-    p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--model", required=True, help="training run directory")
-    p.add_argument("--pairs", required=True, help="pairs.jsonl path")
+    scoring = _Parser(add_help=False)  # the flags of eval and curve
+    scoring.add_argument("--dataset", required=True, help="dataset directory")
+    scoring.add_argument("--model", required=True, help="training run directory")
+    scoring.add_argument("--pairs", required=True, help="pairs.jsonl path")
+    scoring.add_argument("--threshold", type=float, default=_PREDICT_DEFAULTS["threshold"],
+                         help="match probability threshold")
+    scoring.add_argument("--seed", type=int, default=_PREDICT_DEFAULTS["seed"],
+                         help="point-resampling seed")
+
+    p = sub.add_parser("eval", parents=[scoring], help="evaluate a model on an eval set")
     p.add_argument("--out", default="report.json", help="output report path")
-    p.add_argument("--threshold", type=float, default=_EVALUATE_DEFAULTS["threshold"],
-                   help="match probability threshold")
-    p.add_argument("--seed", type=int, default=_EVALUATE_DEFAULTS["seed"],
-                   help="point-resampling seed")
     p.set_defaults(func=_cmd_eval)
 
-    p = sub.add_parser("curve", help="accuracy as a function of point density")
-    p.add_argument("--dataset", required=True, help="dataset directory")
-    p.add_argument("--model", required=True, help="training run directory")
-    p.add_argument("--pairs", required=True, help="pairs.jsonl path")
-    p.add_argument("--mode", choices=["both", "one"], default="both",
+    p = sub.add_parser("curve", parents=[scoring], help="accuracy as a function of point density")
+    p.add_argument("--mode", choices=[BOTH_ATLEAST, ONE_ATLEAST], default=BOTH_ATLEAST,
                    help="require both or at least one observation above the threshold")
     p.add_argument("--thresholds", type=_parse_ints, default="2,4,8,16,32,64",
                    help="comma list of point counts")
-    p.add_argument("--threshold", type=float, default=_PREDICT_DEFAULTS["threshold"],
-                   help="match probability threshold")
     p.add_argument("--out", default="curve.csv", help="output CSV path")
-    p.add_argument("--seed", type=int, default=_PREDICT_DEFAULTS["seed"],
-                   help="point-resampling seed")
     p.set_defaults(func=_cmd_curve)
 
     p = sub.add_parser("fit-powerlaw", help="fit err(x) = eps_inf + beta * x^c")

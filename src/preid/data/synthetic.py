@@ -57,9 +57,9 @@ class SynthConfig:
         lams = self.lam if isinstance(self.lam, list) else [self.lam]
         if not lams or any(l <= 0 for l in lams):
             raise ConfigError(f"lam must be positive, got {self.lam}")
-        if self.fp_rate < 0 or self.sigma_center < 0 or self.sigma_yaw < 0 \
-                or self.sensor_noise < 0:
-            raise ConfigError("rates and noise scales must be non-negative")
+        for name in ("sigma_center", "sigma_yaw", "fp_rate", "articulation", "sensor_noise"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not (0.0 <= self.dim_spread < 1.0):
             raise ConfigError("dim_spread must lie in [0, 1)")
         for cls in self.n_objects:

@@ -74,6 +74,8 @@ def _score_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
 
 def predict_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
                   threshold: float = 0.5, seed: int = 0) -> PairPredictions:
+    if not 0.0 <= threshold <= 1.0:  # a NaN fails too
+        raise ValueError(f"predict_pairs threshold must lie in [0, 1], got {threshold}")
     if not eval_set.pairs:
         raise ValueError("eval set is empty")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
@@ -134,6 +136,8 @@ def density_curve(pred: PairPredictions, mode: str,
     """
     if mode not in (BOTH_ATLEAST, ONE_ATLEAST):
         raise ValueError(f"unknown density mode {mode!r}")
+    if any(x < 1 for x in thresholds):
+        raise ValueError(f"density_curve thresholds must each be at least 1, got {thresholds}")
     reducer = pred.densities.min(axis=1) if mode == BOTH_ATLEAST \
         else pred.densities.max(axis=1)
     out = []

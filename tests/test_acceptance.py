@@ -42,6 +42,8 @@ from preid.model import (
 from preid.sampling import MATCH, build_eval_set, even_epoch, uniform_epoch
 from preid.training import TrainConfig, train
 
+pytestmark = pytest.mark.acceptance
+
 RIGID = {"car", "bus", "truck"}
 DEFORMABLE = {"pedestrian", "bicycle"}
 

@@ -6,6 +6,7 @@ import hashlib
 import inspect
 import json
 import math
+import re
 import shutil
 import struct
 import warnings
@@ -62,6 +63,7 @@ MALFORMED_RECORDS = {
     "bad JSON": lambda rec: '{"offset": 0,',
     "negative offset": lambda rec: {**rec, "offset": -12},
     "partial point": lambda rec: {**rec, "length": rec["length"] - 4},
+    "not an object": lambda rec: "[1, 2]",
 }
 
 
@@ -104,6 +106,9 @@ MALFORMED_MODEL_CONFIGS = {
     "non-list hidden": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "hidden": 8}},
     "list layers": lambda cfg: {**cfg, "rtmm": {**cfg["rtmm"], "layers": [2]}},
     "in_dim 4": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "in_dim": 4}},
+    "unknown kind": lambda cfg: {**cfg, "encoder": {**cfg["encoder"], "kind": "bogus"}},
+    "knn above n_points": lambda cfg: {**cfg, "encoder": {**cfg["encoder"],
+                                                          "kind": "edgeconv_lite", "knn": 64}},
 }
 
 # config-file values that the config dataclasses reject, per command
@@ -127,6 +132,7 @@ BAD_CONFIG_VALUES = [
     ("gen-synthetic", {"n_objects": {"car": -1}}),
     ("gen-synthetic", {"n_objects": 5}),
     ("gen-synthetic", {"lam": {"a": 1.0}}),
+    ("gen-synthetic", {"dim_spread": 1.0}),
 ]
 
 # a train config file that builds criterion 7's model and training run
@@ -322,6 +328,16 @@ class TestPipeline:
         assert "pairs/sec" in capsys.readouterr().out
         assert json.loads((tmp_path / "bench.resolved_config.json").read_text())["model"] is None
 
+    def test_bench_trained_model(self, pipeline, capsys, tmp_path):
+        out = tmp_path / "bench.json"
+        assert main(["bench", "--model", str(pipeline / "run"), "--batch", "2", "--trials", "2",
+                     "--warmup", "0", "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["batch_size"] == 2 and len(report["samples_ms"]) == 2
+        assert "pairs/sec" in capsys.readouterr().out
+        resolved = json.loads((tmp_path / "bench.resolved_config.json").read_text())
+        assert resolved["model"] == str(pipeline / "run")
+
     @pytest.mark.parametrize("flag,value", [("--batch", "0"), ("--trials", "0"),
                                             ("--warmup", "-1")])
     def test_bench_degenerate_arguments_exit_2(self, capsys, tmp_path, flag, value):
@@ -330,6 +346,60 @@ class TestPipeline:
                      flag, value, "--out", str(out)]) == 2
         assert not out.exists()
         assert "error:" in capsys.readouterr().err
+
+
+def blas_build():
+    """The numpy version and BLAS build that seeded outputs depend on."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        return f"numpy {np.__version__} with {blas['name']} {blas['version']}"
+    except (TypeError, KeyError):  # a numpy without the dict form, or without the key
+        return f"numpy {np.__version__} with an unreported BLAS"
+
+
+BLAS_BUILD = blas_build()
+
+
+# sha256 prefixes of the seed-7 pipeline's outputs on numpy 2.4.6 with
+# scipy-openblas 0.3.31: the logs, the dataset, the eval set, and per encoder
+# the training metrics, checkpoint and eval report
+SEED_7_LOGS = {"detections.jsonl": "2eef9412a6f4", "gt.jsonl": "2ac903227eb9",
+               "frames.jsonl": "2cb74583b334", "frames.bin": "9e8f012b8de8"}
+SEED_7_DATASET = {"manifest.jsonl": "71564080eed3", "points.bin": "b325cdf09b7b"}
+SEED_7_PAIRS = "4c119c94c73e"
+SEED_7_RUNS = {
+    "pointnet_lite": {"metrics.jsonl": "1a3d4b3a1210", "model.ckpt": "8ca8de42e637",
+                      "report.json": "a6497cd880d7"},
+    "edgeconv_lite": {"metrics.jsonl": "77ccba30c151", "model.ckpt": "ba876dfba93d",
+                      "report.json": "6b7d31b0e335"},
+}
+
+
+class TestSeededBytes:
+    @pytest.mark.skipif(not re.fullmatch(r"numpy 2\.4\.6 with scipy-openblas 0\.3\.31(\..*)?",
+                                         BLAS_BUILD),
+                        reason=f"the pinned bytes are those of numpy 2.4.6 with scipy-openblas "
+                               f"0.3.31; this is {BLAS_BUILD}")
+    def test_seed_7_pipeline(self, tmp_path, capsys):
+        logs, ds, pairs = tmp_path / "logs", tmp_path / "ds", tmp_path / "pairs.jsonl"
+        assert main(["gen-synthetic", "--out", str(logs), "--seed", "7",
+                     "--preset", "benchmark"]) == 0
+        assert main(["build-dataset", "--logs", str(logs), "--out", str(ds)]) == 0
+        assert main(["make-eval-set", "--dataset", str(ds), "--out", str(pairs)]) == 0
+        got = {"logs": {name: digest(logs / name)[:12] for name in SEED_7_LOGS},
+               "dataset": {name: digest(ds / name)[:12] for name in SEED_7_DATASET},
+               "pairs": digest(pairs)[:12]}
+        for encoder in SEED_7_RUNS:
+            run = tmp_path / encoder
+            assert main(["train", "--dataset", str(ds), "--out", str(run), "--encoder", encoder,
+                         "--dim", "16", "--n-points", "32", "--batch-size", "25",
+                         "--epochs", "3", "--seed", "3"]) == 0
+            assert main(["eval", "--dataset", str(ds), "--model", str(run),
+                         "--pairs", str(pairs), "--out", str(run / "report.json")]) == 0
+            got[encoder] = {name: digest(run / name)[:12] for name in SEED_7_RUNS[encoder]}
+        capsys.readouterr()
+        assert got == {"logs": SEED_7_LOGS, "dataset": SEED_7_DATASET, "pairs": SEED_7_PAIRS,
+                       **SEED_7_RUNS}
 
 
 class TestDeterminism:
@@ -398,7 +468,7 @@ class TestExitCodes:
         assert repr(key) in err and str(cfg) in err
         assert not (tmp_path / "o").exists()
 
-    @pytest.mark.parametrize("flag", ["--batch-size", "--epochs"])
+    @pytest.mark.parametrize("flag", ["--batch-size", "--epochs", "--clip-norm"])
     def test_zero_train_flag_is_data_error(self, pipeline, tmp_path, capsys, flag):
         assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(tmp_path / "o"),
                      flag, "0"]) == 2
@@ -441,17 +511,53 @@ class TestExitCodes:
         ("build-dataset", "--tau-c", "-0.1", "tau_c"),
         ("build-dataset", "--tau-c", "1.0", "tau_c"),
         ("build-dataset", "--tau-c", "nan", "tau_c"),
+        ("eval", "--threshold", "nan", "threshold"),
+        ("eval", "--threshold", "2", "threshold"),
+        ("eval", "--threshold", "inf", "threshold"),
+        ("eval", "--threshold", "-1", "threshold"),
+        ("curve", "--threshold", "nan", "threshold"),
+        ("curve", "--threshold", "1.5", "threshold"),
+        ("curve", "--thresholds", "0,-5", "thresholds"),
+        ("curve", "--thresholds", "2,0", "thresholds"),
     ])
     def test_out_of_range_gate_is_data_error(self, pipeline, tmp_path, capsys,
                                              command, flag, value, name):
-        source = (["--logs", str(pipeline / "logs")] if command == "build-dataset"
-                  else ["--dataset", str(pipeline / "ds")])
-        out = tmp_path / "out"
-        assert main([command, *source, "--out", str(out), flag, value]) == 2
+        scoring = ["--dataset", str(pipeline / "ds"), "--model", str(pipeline / "run"),
+                   "--pairs", str(pipeline / "pairs.jsonl")]
+        source = {"build-dataset": ["--logs", str(pipeline / "logs")], "eval": scoring,
+                  "curve": scoring}.get(command, ["--dataset", str(pipeline / "ds")])
+        assert main([command, *source, "--out", str(tmp_path / "out"), flag, value]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert f" {name} " in err
+        assert not any(tmp_path.iterdir())  # neither the output nor its record
+
+    @pytest.mark.parametrize("flags, config, name", [
+        (["--fp-rate", "-1"], None, "fp_rate"),
+        (["--sigma-yaw", "-0.1"], None, "sigma_yaw"),
+        ([], {"articulation": -0.1}, "articulation"),
+    ], ids=["fp_rate", "sigma_yaw", "articulation"])
+    def test_negative_scale_names_its_field(self, tmp_path, capsys, flags, config, name):
+        if config is not None:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            flags = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "logs"
+        assert main(["gen-synthetic", "--out", str(out), *flags]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert f"{name} must be non-negative" in err
+        if config is not None:
+            assert str(tmp_path / "cfg.json") in err
         assert not out.exists()
+
+    def test_config_file_not_an_object_is_data_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text("[1]")
+        assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(tmp_path / "run"),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert str(cfg) in err and "must be a JSON object" in err
+        assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("argv", [  # the last flag's value is malformed
         ["fit-powerlaw", "--points", "a,b;1,2;3,4"],
@@ -516,6 +622,45 @@ class TestExitCodes:
                      "--pairs", str(pipeline / "pairs.jsonl"),
                      "--out", str(tmp_path / "report.json")]) == 2
         assert "non-finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("case", ["trailing byte", "missing parameter"])
+    def test_malformed_checkpoint_is_data_error(self, pipeline, tmp_path, capsys, case):
+        run, out = tmp_path / "run", tmp_path / "report.json"
+        shutil.copytree(pipeline / "run", run)
+        ckpt = run / "model.ckpt"
+        blob = ckpt.read_bytes()
+        if case == "trailing byte":
+            ckpt.write_bytes(blob + b"\0")
+            message = "1 trailing bytes"
+        else:  # cut the last parameter's record and lower the count to match
+            params = list(load_checkpoint(ckpt, *config_from_json(
+                (run / "model_config.json").read_text())).params.items())
+            name, last = params[-1]
+            size = 2 + len(name.encode()) + 1 + 8 * last.data.ndim + 4 * last.data.size
+            ckpt.write_bytes(blob[:5] + struct.pack("<I", len(params) - 1) + blob[9:-size])
+            message = f"missing parameters ['{name}']"
+        assert main(["eval", "--dataset", str(pipeline / "ds"), "--model", str(run),
+                     "--pairs", str(pipeline / "pairs.jsonl"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert str(ckpt) in err and message in err
+        assert not out.exists()
+
+    def test_nan_detector_score_is_data_error(self, pipeline, tmp_path, capsys):
+        ds = tmp_path / "ds"
+        shutil.copytree(pipeline / "ds", ds)
+        edit_record(ds / "manifest.jsonl", 2, lambda rec: {**rec, "detector_score": math.nan})
+        assert main(["inspect", "--dataset", str(ds)]) == 2
+        err = capsys.readouterr().err
+        assert f"{ds / 'manifest.jsonl'}:2" in err and "is not finite" in err
+
+    def test_detection_score_above_one_is_data_error(self, pipeline, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        shutil.copytree(pipeline / "logs", logs)
+        edit_record(logs / "detections.jsonl", 2, lambda rec: {**rec, "score": 1.5})
+        assert main(["build-dataset", "--logs", str(logs), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err
+        assert f"{logs / 'detections.jsonl'}:2" in err and "1.5" in err
+        assert not (tmp_path / "ds").exists()
 
 
     @pytest.mark.parametrize("case", list(MALFORMED_RECORDS))

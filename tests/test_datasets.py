@@ -501,3 +501,10 @@ class TestSynthetic:
             SynthConfig(frames=0)
         with pytest.raises(ConfigError, match="lam"):
             SynthConfig(lam={"a": 1.0})
+
+    @pytest.mark.parametrize("name", ["sigma_center", "sigma_yaw", "fp_rate", "articulation",
+                                      "sensor_noise"])
+    def test_negative_scale_names_its_field(self, name):
+        with pytest.raises(ConfigError, match=f"^{name} must be non-negative, got -0.1$"):
+            SynthConfig(**{name: -0.1})
+        assert getattr(SynthConfig(**{name: 0.0}), name) == 0.0

@@ -102,6 +102,11 @@ class TestDensityCurve:
         with pytest.raises(ValueError):
             density_curve(self._pred(), "either", [2])
 
+    @pytest.mark.parametrize("thresholds", [[0], [-5], [2, 0]])
+    def test_threshold_below_one_is_an_error(self, thresholds):
+        with pytest.raises(ValueError, match="^density_curve thresholds "):
+            density_curve(self._pred(), BOTH_ATLEAST, thresholds)
+
 
 class TestPowerLaw:
     def test_exact_recovery(self):
@@ -197,6 +202,19 @@ class TestEvaluate:
         assert len(p.correct) == len(ev.pairs)
         assert list(p.is_match) == [q.label == MATCH for q in ev.pairs]
         np.testing.assert_array_equal(p.densities, np.asarray(ev.densities))
+
+    @pytest.mark.parametrize("threshold", [np.nan, np.inf, -np.inf, -1.0, -1e-9, 1.0 + 1e-9, 2.0])
+    def test_threshold_outside_unit_interval_is_an_error(self, threshold):
+        ds, ev = tiny_eval_setup()
+        with pytest.raises(ValueError, match="^predict_pairs threshold "):
+            predict_pairs(tiny_model(), ev, ds, threshold=threshold)
+
+    def test_threshold_bounds(self):
+        ds, ev = tiny_eval_setup()
+        everything = predict_pairs(tiny_model(), ev, ds, threshold=0.0)
+        np.testing.assert_array_equal(everything.correct, everything.is_match)
+        nothing = predict_pairs(tiny_model(), ev, ds, threshold=1.0)  # no probability reaches 1
+        np.testing.assert_array_equal(nothing.correct, ~nothing.is_match)
 
     def test_non_finite_logits_are_an_error(self):
         ds, ev = tiny_eval_setup()
