@@ -45,6 +45,7 @@ from .evaluation import (
     BOTH_ATLEAST,
     ONE_ATLEAST,
     bench,
+    check_density_thresholds,
     density_curve,
     fit_power_law,
     predict_pairs,
@@ -293,6 +294,7 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_curve(args) -> int:
+    check_density_thresholds(args.thresholds)  # before the eval set is scored
     rows = density_curve(_predict(args), args.mode, args.thresholds)
     with atomic_write(args.out) as f:
         f.write("x,mode,accuracy,n_pairs\n")

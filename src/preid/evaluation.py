@@ -127,6 +127,12 @@ def evaluate(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
     return report_from_predictions(predict_pairs(model, eval_set, ds, threshold, seed))
 
 
+def check_density_thresholds(thresholds: list[int]) -> None:
+    """Raise ValueError unless every density threshold is at least 1."""
+    if any(x < 1 for x in thresholds):
+        raise ValueError(f"density_curve thresholds must each be at least 1, got {thresholds}")
+
+
 def density_curve(pred: PairPredictions, mode: str,
                   thresholds: list[int]) -> list[tuple[int, float, int]]:
     """Subset accuracy at each density threshold; empty subsets are omitted.
@@ -136,8 +142,7 @@ def density_curve(pred: PairPredictions, mode: str,
     """
     if mode not in (BOTH_ATLEAST, ONE_ATLEAST):
         raise ValueError(f"unknown density mode {mode!r}")
-    if any(x < 1 for x in thresholds):
-        raise ValueError(f"density_curve thresholds must each be at least 1, got {thresholds}")
+    check_density_thresholds(thresholds)
     reducer = pred.densities.min(axis=1) if mode == BOTH_ATLEAST \
         else pred.densities.max(axis=1)
     out = []

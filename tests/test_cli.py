@@ -532,6 +532,20 @@ class TestExitCodes:
         assert f" {name} " in err
         assert not any(tmp_path.iterdir())  # neither the output nor its record
 
+    def test_curve_checks_thresholds_before_scoring(self, pipeline, tmp_path, capsys,
+                                                    monkeypatch):
+        def never(*args, **kwargs):
+            raise AssertionError("the eval set was scored")
+
+        monkeypatch.setattr(preid.cli, "predict_pairs", never)
+        assert main(["curve", "--dataset", str(pipeline / "ds"), "--model", str(pipeline / "run"),
+                     "--pairs", str(pipeline / "pairs.jsonl"), "--out", str(tmp_path / "out"),
+                     "--thresholds", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert " thresholds " in err
+        assert not any(tmp_path.iterdir())
+
     @pytest.mark.parametrize("flags, config, name", [
         (["--fp-rate", "-1"], None, "fp_rate"),
         (["--sigma-yaw", "-0.1"], None, "sigma_yaw"),

@@ -3,12 +3,14 @@
 import itertools
 import math
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import preid.data.extract
 from preid.data import (
     ConfigError,
     DetectionRecord,
@@ -31,7 +33,7 @@ from preid.data import (
 )
 from preid.data.extract import _REACH_MARGIN
 from preid.data.synthetic import _apply_dents, _sample_surface
-from preid.geometry import Box3D, crop, iou_3d, uncanonicalize
+from preid.geometry import Box3D, crop, hungarian, iou_3d, uncanonicalize
 
 
 def _det(frame, center, cls="car", score=0.9, size=(4.0, 2.0, 1.5), yaw=0.0):
@@ -227,6 +229,131 @@ class TestIndexedExtraction:
         cfg = SynthConfig(n_objects={"car": 4, "pedestrian": 4}, frames=3, fp_rate=2.0)
         dets, _, frame_points = generate_synthetic(cfg, seed=2)
         _assert_matches_full_frame(dets, frame_points)
+
+
+def _dense_reference(dets, gts, frame_points, tau_c=0.1, tau_iou=0.01):
+    """Extraction with the all-pairs near rule: ``np.linalg.norm`` over every
+    detection/GT pair of a frame, then :func:`iou_3d` on the near ones in
+    row-major order, and a crop of the whole frame. Returns the
+    (observation_id, object_id, points) triples and the box pairs that
+    :func:`iou_3d` was called with."""
+    out, calls = [], []
+    for frame in sorted({d.frame for d in dets}):
+        frame_dets = [(i, d) for i, d in enumerate(dets) if d.frame == frame and d.score > tau_c]
+        if not frame_dets:
+            continue
+        frame_gts = [g for g in gts if g.frame == frame]
+        iou = np.zeros((len(frame_dets), len(frame_gts)))
+        if frame_gts:
+            def radius(box):
+                return 0.5 * math.hypot(box.size[0], box.size[1])
+
+            det_xy = np.array([d.box.center[:2] for _, d in frame_dets])
+            gt_xy = np.array([g.box.center[:2] for g in frame_gts])
+            dist = np.linalg.norm(det_xy[:, None] - gt_xy[None], axis=-1)
+            near = dist <= (np.array([radius(d.box) for _, d in frame_dets])[:, None]
+                            + np.array([radius(g.box) for g in frame_gts])[None])
+            for r, c in zip(*np.nonzero(near)):
+                calls.append((frame_dets[r][1].box, frame_gts[c].box))
+                iou[r, c] = iou_3d(*calls[-1])
+        assigned = {}
+        if frame_gts:
+            cost = np.where(iou >= tau_iou, 1.0 - iou, 1e6)
+            assigned = {r: c for r, c in hungarian(cost).pairs if iou[r, c] >= tau_iou}
+        duplicate = (iou[:, list(assigned.values())] >= tau_iou).any(axis=1)
+        points = np.asarray(frame_points[frame], dtype=np.float64).reshape(-1, 3)
+        for r, (i, det) in enumerate(frame_dets):
+            if r not in assigned and duplicate[r]:
+                continue
+            kept = crop(points, det.box).astype(np.float32)
+            if len(kept):
+                object_id = frame_gts[assigned[r]].object_id if r in assigned else None
+                out.append((f"f{frame:06d}-d{i:05d}", object_id, kept))
+    return out, calls
+
+
+def _near_gt(box: Box3D, draw) -> Box3D:
+    """A GT box for a detection: its own box, a jittered copy, one whose center
+    lies exactly the sum of the two circumscribed radii away along x or y,
+    or one far away."""
+    kind = draw(st.sampled_from(["same", "jitter", "edge_x", "edge_y", "far"]))
+    if kind == "same":
+        return box
+    size = draw(st.tuples(*[st.floats(0.05, 6.0)] * 3))
+    if kind == "jitter":
+        offset = draw(st.tuples(*[st.floats(-0.5, 0.5)] * 3))
+        return Box3D(tuple(c + o for c, o in zip(box.center, offset)),
+                     tuple(s * draw(st.floats(0.8, 1.25)) for s in box.size),
+                     box.yaw + draw(st.floats(-0.3, 0.3)))
+    if kind == "far":
+        return Box3D((box.center[0] + 60.0, box.center[1] - 60.0, 0.0), size, 0.0)
+    reach = 0.5 * math.hypot(*box.size[:2]) + 0.5 * math.hypot(*size[:2])
+    sign = draw(st.sampled_from([-1.0, 1.0]))
+    cx, cy, cz = box.center
+    center = (cx + sign * reach, cy, cz) if kind == "edge_x" else (cx, cy + sign * reach, cz)
+    return Box3D(center, size, draw(_yaws))
+
+
+@st.composite
+def _gt_scenes(draw):
+    """Frames of detections with GT boxes on, near, at the near-rule's edge
+    of and far from them; some frames have no GT, and in some every
+    detection falls below the score gate."""
+    dets, gts, frame_points = [], [], {}
+    for frame in range(draw(st.integers(1, 3))):
+        boxes = draw(st.lists(_boxes, min_size=1, max_size=5))
+        below_gate = draw(st.booleans())
+        dets += [DetectionRecord(frame, box, 0.05 if below_gate else
+                                 draw(st.sampled_from([0.9, 0.05])), "car") for box in boxes]
+        if draw(st.booleans()):
+            gt_boxes = [_near_gt(draw(st.sampled_from(boxes)), draw)
+                        for _ in range(draw(st.integers(1, 6)))]
+            gts += [GtTrackRecord(frame, box, f"o{k % 3}", "car")
+                    for k, box in enumerate(gt_boxes)]
+        pts = draw(st.lists(st.tuples(st.floats(-12, 12), st.floats(-12, 12),
+                                      st.floats(-3, 3)), max_size=20))
+        for box in boxes:
+            signs = draw(st.lists(_face_signs, max_size=4))
+            if signs:
+                pts += uncanonicalize(np.array(signs) * np.array(box.size) / 2, box).tolist()
+        frame_points[frame] = np.array(pts, dtype=np.float32).reshape(-1, 3)
+    return dets, gts, frame_points
+
+
+class TestNearPairIndex:
+    """The sorted GT index must test exactly the pairs the all-pairs rule tests."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_gt_scenes())
+    def test_matches_dense_near_rule(self, scene):
+        dets, gts, frame_points = scene
+        calls = []
+
+        def recorded_iou(a, b):
+            calls.append((a, b))
+            return iou_3d(a, b)
+
+        with mock.patch.object(preid.data.extract, "iou_3d", recorded_iou):
+            ds = extract_observations(dets, gts, frame_points)
+        ref, ref_calls = _dense_reference(dets, gts, frame_points)
+        assert calls == ref_calls
+        assert [o.observation_id for o in ds.observations] == [obs_id for obs_id, _, _ in ref]
+        assert [o.object_id for o in ds.observations] == [oid for _, oid, _ in ref]
+        for obs, (_, _, points) in zip(ds.observations, ref):
+            assert obs.points.dtype == points.dtype and obs.points.shape == points.shape
+            assert obs.points.tobytes() == points.tobytes()
+
+    @settings(max_examples=500, deadline=None)
+    @given(_boxes, st.tuples(*[st.floats(0.05, 6.0)] * 3), _yaws, st.floats(-math.pi, math.pi),
+           st.one_of(st.just(1.0), st.floats(1.0, 1.5)), st.floats(-1, 1))
+    def test_boxes_outside_the_near_rule_do_not_overlap(self, a, size, yaw, angle, factor, dz):
+        reach = 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(*size[:2])
+        b = Box3D((a.center[0] + factor * reach * math.cos(angle),
+                   a.center[1] + factor * reach * math.sin(angle), a.center[2] + dz), size, yaw)
+        dist = np.linalg.norm(np.array(a.center[:2]) - np.array(b.center[:2]))
+        assume(not dist <= 0.5 * math.hypot(*a.size[:2]) + 0.5 * math.hypot(*b.size[:2]))
+        assert iou_3d(a, b) == 0.0
+        assert iou_3d(b, a) == 0.0
 
 
 def _crop_empty(det, points):
