@@ -13,6 +13,8 @@ radius plus the frame's largest GT radius in x. The exact distance rule
 then runs on those candidate pairs alone, and :func:`iou_3d` on the
 survivors in row-major order, so the dense cost matrix that the one
 :func:`hungarian` call of the frame sees is that of an all-pairs test.
+The bands cut on x alone, so they prune well only when a frame's objects
+spread along x; objects lined up along y share every band.
 
 Points are indexed the same way, by the frame's x order. A detection's box
 lies inside the vertical cylinder of its circumscribed BEV radius, so only
@@ -20,7 +22,9 @@ points within ``reach`` (that radius plus a small absolute margin) of the
 box center in x, and then in y, can lie inside it. One vectorized pass
 over the frame's concatenated x-bands applies the y test and sorts each
 detection's candidates back into their original order; each kept
-detection's slice then reaches the exact :func:`crop` test. Its rotation
+detection's slice then reaches the exact :func:`crop` test. That pass
+holds every kept detection's x-band candidates at once, so its memory
+grows with the number of objects sharing an x-band. :func:`crop`'s rotation
 is elementwise, so each point rounds the same among any number of
 candidates, a lone one included, and the kept points and their order are
 those of a crop of the whole frame.

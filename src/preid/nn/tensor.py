@@ -89,12 +89,6 @@ class Tensor:
                 stack.extend((p, False) for p in node._parents)
 
         grads: dict[int, np.ndarray] = {id(self): grad}
-        # keys whose gradient is a sum this sweep allocated: until the node
-        # is reached no closure holds it, so it may be added into in place,
-        # and a leaf may keep it. An array a closure returned may be shared
-        # (add gives both parents the same g; concat and reshape return
-        # views) and is never written.
-        owned: set[int] = set()
         for node in reversed(topo):
             g = grads.pop(id(node), None)
             if g is None:
@@ -103,19 +97,9 @@ class Tensor:
                 node._spent = True
                 for parent, pg in node._backward(g):
                     key = id(parent)
-                    if key not in grads:
-                        grads[key] = pg
-                    elif key in owned and pg.shape == grads[key].shape \
-                            and np.result_type(grads[key], pg) == grads[key].dtype:
-                        np.add(grads[key], pg, out=grads[key])
-                    else:
-                        grads[key] = grads[key] + pg
-                        owned.add(key)
+                    grads[key] = grads[key] + pg if key in grads else pg
             elif node.requires_grad:
-                if node.grad is not None:
-                    node.grad = node.grad + g
-                else:
-                    node.grad = g if id(node) in owned else g.copy()
+                node.grad = g.copy() if node.grad is None else node.grad + g
 
     # -- operator sugar --------------------------------------------------
 

@@ -279,101 +279,3 @@ class TestPooling:
             p = np.clip(1 / (1 + np.exp(-z)), 1e-7, 1 - 1e-7)
             naive = float(-(labels * np.log(p) + (1 - labels) * np.log(1 - p)).mean())
             assert abs(stable - naive) <= 1e-6
-
-
-def _copy_everything_backward(root):
-    """Reference sweep in the same node order as ``Tensor.backward``, but every
-    sum is a fresh array and every leaf gradient a copy."""
-    topo, seen, stack = [], set(), [(root, False)]
-    while stack:
-        node, done = stack.pop()
-        if done:
-            topo.append(node)
-        elif id(node) not in seen:
-            seen.add(id(node))
-            stack.append((node, True))
-            stack.extend((p, False) for p in node._parents)
-    grads = {id(root): np.ones_like(root.data)}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
-        if g is None:
-            continue
-        if node._backward is not None:
-            for parent, pg in node._backward(g):
-                key = id(parent)
-                grads[key] = grads[key] + pg if key in grads else pg
-        elif node.requires_grad:
-            node.grad = g.copy()
-
-
-def _shared_gradient_graph(dtype):
-    """x and y get one shared array from add and views from concat and
-    reshape, then more gradient from mul, relu and linear; u and v get only
-    the one array that add hands to both."""
-    rng = np.random.default_rng(4)
-    x, y, u, v = (Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
-                  for _ in range(4))
-    w = Tensor(rng.normal(size=(8, 4)).astype(dtype), requires_grad=True)
-    s = nn.add(x, y)
-    h = nn.linear(nn.concat([x, nn.reshape(nn.reshape(y, (4, 3)), (3, 4))], axis=-1), w)
-    out = nn.tsum(nn.mul(s, x) + nn.relu(y) + nn.mul(h, y) + x + nn.add(u, v))
-    return out, (x, y, u, v, w)
-
-
-def _random_graph(seed, recipe, dtype):
-    """A graph of add, mul, concat, relu, linear and tsum over three (3, 4)
-    leaves; ``recipe`` lists (op, i, j) over the growing pool of nodes."""
-    rng = np.random.default_rng(seed)
-    leaves = [Tensor(rng.normal(size=(3, 4)).astype(dtype), requires_grad=True)
-              for _ in range(3)]
-    w = Tensor(rng.normal(size=(8, 4)).astype(dtype), requires_grad=True)
-    pool = list(leaves)
-    for op, i, j in recipe:
-        a, b = pool[i % len(pool)], pool[j % len(pool)]
-        if op == "add":
-            pool.append(nn.add(a, b))
-        elif op == "mul":
-            pool.append(nn.mul(a, b))
-        elif op == "relu":
-            pool.append(nn.relu(a))
-        elif op == "linear":
-            pool.append(nn.linear(nn.concat([a, b], axis=-1), w))
-        else:  # tsum over rows, broadcast back by add
-            pool.append(nn.add(nn.tsum(a, axis=0, keepdims=True), b))
-    root = pool[-1]
-    for extra in pool[len(leaves):-1]:
-        root = nn.add(root, extra)
-    return nn.tsum(root), (*leaves, w)
-
-
-def _assert_same_grads_unshared(build):
-    out, leaves = build()
-    out.backward()
-    ref_out, ref_leaves = build()
-    _copy_everything_backward(ref_out)
-    for leaf, ref in zip(leaves, ref_leaves):
-        assert (leaf.grad is None) == (ref.grad is None)
-        if leaf.grad is not None:
-            assert leaf.grad.dtype == ref.grad.dtype and leaf.grad.shape == ref.grad.shape
-            assert leaf.grad.tobytes() == ref.grad.tobytes()
-    grads = [leaf.grad for leaf in leaves if leaf.grad is not None]
-    for k, g in enumerate(grads):
-        assert not any(np.shares_memory(g, other) for other in grads[k + 1:])
-        assert not any(np.shares_memory(g, leaf.data) for leaf in leaves)
-
-
-class TestInPlaceAccumulation:
-    """Tensor.backward adds into sums it allocated; it must round as a sweep
-    that copies everything and never write into an array a closure returned."""
-
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_shared_gradient_arrays(self, dtype):
-        _assert_same_grads_unshared(lambda: _shared_gradient_graph(dtype))
-
-    @settings(max_examples=50, deadline=None)
-    @given(st.integers(0, 2**16),
-           st.lists(st.tuples(st.sampled_from(["add", "mul", "relu", "linear", "tsum"]),
-                              st.integers(0, 20), st.integers(0, 20)), min_size=1, max_size=12),
-           st.sampled_from([np.float32, np.float64]))
-    def test_random_graphs(self, seed, recipe, dtype):
-        _assert_same_grads_unshared(lambda: _random_graph(seed, recipe, dtype))
