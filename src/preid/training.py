@@ -24,7 +24,7 @@ from .model.checkpoint import save_checkpoint
 from .model.config import config_to_json
 from .model.network import ReidModel, resample_points
 from .sampling import MATCH, even_epoch, uniform_epoch
-from .util import atomic_write, check_numbers, keyed_rng
+from .util import atomic_write, check_numbers, fix_heap_thresholds, keyed_rng
 
 EVEN = "even"
 UNIFORM = "uniform"
@@ -169,6 +169,8 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
 
     optimizer = AdamW(model.params, weight_decay=cfg.weight_decay)
     model.params.set_requires_grad(True)
+    # every step frees and re-allocates its tape; keep those pages in the heap
+    fix_heap_thresholds()
     ckpt_path = out_dir / "model.ckpt"
     metrics_path = out_dir / "metrics.jsonl"
     # wall times differ run to run, so they stay out of metrics.jsonl, which

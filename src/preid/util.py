@@ -1,7 +1,9 @@
-"""Shared plumbing: atomic file writes, keyed RNG streams and config checks."""
+"""Shared plumbing: atomic file writes, keyed RNG streams, config checks and
+the heap thresholds of the training loop."""
 
 from __future__ import annotations
 
+import ctypes
 import dataclasses
 import hashlib
 import math
@@ -29,6 +31,31 @@ def atomic_write(path, mode: str = "w"):
         except OSError:
             pass
         raise
+
+
+# glibc mallopt parameters
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+def fix_heap_thresholds() -> bool:
+    """Fix glibc malloc's thresholds, process-wide, so a loop that frees and
+    allocates the same large arrays every iteration reuses heap pages.
+
+    By default glibc raises its mmap threshold to the largest mapped block
+    freed so far and gives the heap top back to the kernel once it exceeds
+    twice that, so whether a training step's tape arrays are faulted in
+    anew every step (about 17 k page faults each) depends on what the
+    process allocated before. Here blocks below 32 MiB come from the heap,
+    and its top is given back only above 256 MiB. Returns whether both were
+    set; without ``mallopt`` in the C library nothing changes.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return False
+    return (bool(mallopt(_M_MMAP_THRESHOLD, 32 << 20))
+            and bool(mallopt(_M_TRIM_THRESHOLD, 256 << 20)))
 
 
 def stable_hash(s: str) -> int:

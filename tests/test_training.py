@@ -2,10 +2,14 @@
 
 import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import preid
 from preid import nn, training
 from preid.data import SynthConfig, extract_observations, generate_synthetic
 from preid.model import EncoderConfig, ReidModel, RtmmConfig, load_checkpoint, save_checkpoint
@@ -121,6 +125,36 @@ class TestClipping:
         norm = clip_gradients(store, max_norm=1.0)
         assert norm == pytest.approx(0.5)
         np.testing.assert_allclose(a.grad, [0.3, 0.4])
+
+
+# frees and re-allocates 72 MB of arrays per round, as a training step does
+HEAP_ROUNDS = """
+import resource, sys
+import numpy as np
+from preid.util import fix_heap_thresholds
+if not fix_heap_thresholds():
+    sys.exit(3)
+def one_round():
+    arrays = [np.ones(6 << 20, dtype=np.float32) for _ in range(3)]
+    del arrays
+one_round()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(4):
+    one_round()
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+def test_fixed_heap_thresholds_reuse_freed_pages():
+    """After the first round the heap's pages are reused, not faulted in
+    again (without the fix a fresh process faults about 4,600 times)."""
+    src = str(Path(preid.__file__).resolve().parent.parent)
+    run = subprocess.run([sys.executable, "-c", HEAP_ROUNDS], capture_output=True, text=True,
+                         env={"PYTHONPATH": src, "OPENBLAS_NUM_THREADS": "1"}, timeout=60)
+    if run.returncode == 3:
+        pytest.skip("the C library has no mallopt")
+    assert run.returncode == 0, run.stderr
+    assert int(run.stdout) < 100
 
 
 class TestTrainLoop:
