@@ -8,6 +8,12 @@ noise, plus random clutter blobs at a configured false-positive rate.
 
 Identity is recoverable from shape, harder for deformables, easier with more
 points.
+
+Each frame first draws every random number, object by object in a fixed
+order, and then places all its objects' points in one pass over those
+draws. Each step of that pass is elementwise, or a reduction over the same
+short last axis as for one object, and each box's cosine and sine come from
+``math.cos``/``math.sin``, so every point rounds as if placed alone.
 """
 
 from __future__ import annotations
@@ -17,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..geometry import Box3D, uncanonicalize
+from ..geometry import Box3D, _rotate
 from ..util import ConfigError, check_numbers, keyed_rng
 from .records import DetectionRecord, GtTrackRecord
 
@@ -62,6 +68,8 @@ class SynthConfig:
                 raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
         if not (0.0 <= self.dim_spread < 1.0):
             raise ConfigError("dim_spread must lie in [0, 1)")
+        if not self.n_objects:
+            raise ConfigError("n_objects must name at least one class")
         for cls in self.n_objects:
             if cls not in _CLASS_DIMS:
                 raise ConfigError(f"unknown class {cls!r}; known: {sorted(_CLASS_DIMS)}")
@@ -99,40 +107,43 @@ class _ObjectSpec:
     dims: tuple[float, float, float]
     lam: float
     base_xy: tuple[float, float]
-    dent_centers: np.ndarray   # (k, 2) surface parameterization in [0,1)^2
-    dent_depths: np.ndarray    # (k,)
-    dent_widths: np.ndarray    # (k,)
 
 
-def _sample_surface(rng: np.random.Generator, dims, n: int) -> np.ndarray:
-    """Uniform points on the box surface, in the box's local frame.
-
-    Face ``2k`` lies at ``+dims[k]/2`` and face ``2k+1`` at ``-dims[k]/2``
-    along axis ``k``; the other two axes, in axis order, take the two
-    uniform draws times their sizes. Faces are drawn by area.
-    """
-    size = np.asarray(dims, dtype=np.float64)
+def _draw_surface(rng: np.random.Generator, size: np.ndarray, n: int):
+    """Draw n points on the surface of a box of dims ``size``: each point's
+    face, by area, and its two uniform in-face coordinates."""
     areas = size[_FREE_AXES].prod(axis=1).repeat(2)
-    faces = rng.choice(6, size=n, p=areas / areas.sum())
-    u = rng.uniform(-0.5, 0.5, size=(n, 2))
+    return rng.choice(6, size=n, p=areas / areas.sum()), rng.uniform(-0.5, 0.5, size=(n, 2))
+
+
+def _sample_surface(faces: np.ndarray, u: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Points on box surfaces, each in its own box's local frame.
+
+    ``size`` holds each point's box dims, one row per point. Face ``2k``
+    lies at ``+size[k]/2`` and face ``2k+1`` at ``-size[k]/2`` along axis
+    ``k``; the other two axes, in axis order, take the in-face coordinates
+    ``u`` times their sizes.
+    """
+    rows = np.arange(len(faces))
     axis = faces // 2
     free = _FREE_AXES[axis]
-    rows = np.arange(n)
-    pts = np.empty((n, 3))
-    pts[rows, axis] = np.where(faces % 2 == 0, 0.5, -0.5) * size[axis]
-    pts[rows[:, None], free] = u * size[free]
+    pts = np.empty((len(faces), 3))
+    pts[rows, axis] = np.where(faces % 2 == 0, 0.5, -0.5) * size[rows, axis]
+    pts[rows[:, None], free] = u * size[rows[:, None], free]
     return pts
 
 
-def _apply_dents(points: np.ndarray, dims, centers, depths, widths) -> np.ndarray:
-    """Pull surface points inward by a smooth dent field (identity signature)."""
-    if len(points) == 0:
-        return points
-    l, w, h = dims
+def _apply_dents(points: np.ndarray, size: np.ndarray, owner: np.ndarray,
+                 centers: np.ndarray, depths: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """Pull surface points inward by their objects' smooth dent fields (the
+    identity signature). ``size`` holds each point's box dims and ``owner``
+    its object's row in the per-object ``centers`` (m, k, 2), ``depths`` and
+    ``widths`` (m, k)."""
     # parameterize each point by its normalized position, compare to dent centers
-    uv = np.stack([points[:, 0] / l + 0.5, points[:, 2] / h + 0.5], axis=1)
-    dist2 = ((uv[:, None, :] - centers) ** 2).sum(axis=2)             # (n, dents)
-    depth = (depths * np.exp(-dist2 / (2 * widths * widths))).sum(axis=1)
+    u = points[:, 0] / size[:, 0] + 0.5
+    v = points[:, 2] / size[:, 2] + 0.5
+    dist2 = (u[:, None] - centers[owner, :, 0]) ** 2 + (v[:, None] - centers[owner, :, 1]) ** 2
+    depth = (depths[owner] * np.exp(-dist2 / (2 * widths * widths)[owner])).sum(axis=1)
     # move toward the vertical axis and the mid-height plane
     shrink = np.clip(1.0 - depth[:, None], 0.55, 1.0)
     out = points.copy()
@@ -148,10 +159,15 @@ def generate_synthetic(
     rng = keyed_rng(seed, "synth")
     lam_choices = cfg.lam if isinstance(cfg.lam, list) else [cfg.lam]
 
+    m = sum(cfg.n_objects.values())
+    size = np.empty((m, 3))
+    centers = np.empty((m, _N_DENTS, 2))   # surface parameterization in [0,1)^2
+    depths = np.empty((m, _N_DENTS))
+    widths = np.empty((m, _N_DENTS))
     objects: list[_ObjectSpec] = []
-    idx = 0
     for cls in sorted(cfg.n_objects):
         for j in range(cfg.n_objects[cls]):
+            idx = len(objects)
             dims = tuple(
                 float(rng.uniform(lo, hi) * (1 + rng.uniform(-cfg.dim_spread, cfg.dim_spread)))
                 for lo, hi in _CLASS_DIMS[cls]
@@ -162,38 +178,43 @@ def generate_synthetic(
                 dims=dims,
                 lam=float(lam_choices[int(rng.integers(len(lam_choices)))]),
                 base_xy=(float((idx % 100) * _CELL), float((idx // 100) * _CELL)),
-                dent_centers=rng.uniform(0, 1, size=(_N_DENTS, 2)),
-                dent_depths=rng.uniform(0.05, 0.30, size=_N_DENTS),
-                dent_widths=rng.uniform(0.08, 0.25, size=_N_DENTS),
             ))
-            idx += 1
+            size[idx] = dims
+            centers[idx] = rng.uniform(0, 1, size=(_N_DENTS, 2))
+            depths[idx] = rng.uniform(0.05, 0.30, size=_N_DENTS)
+            widths[idx] = rng.uniform(0.08, 0.25, size=_N_DENTS)
 
     detections: list[DetectionRecord] = []
     gt: list[GtTrackRecord] = []
     frame_points: dict[int, np.ndarray] = {}
 
     for frame in range(cfg.frames):
-        cloud = []
-        for spec in objects:
+        # draw phase: every random number, object by object, in a fixed order
+        f_size, f_centers, f_depths = size.copy(), centers.copy(), depths.copy()
+        f_center, f_cos, f_sin = np.empty((m, 3)), np.empty(m), np.empty(m)
+        counts = np.empty(m, dtype=np.int64)
+        faces, coords, noise = [], [], []
+        for i, spec in enumerate(objects):
             cx = spec.base_xy[0] + float(rng.uniform(-0.5, 0.5))
             cy = spec.base_xy[1] + float(rng.uniform(-0.5, 0.5))
             cz = spec.dims[2] / 2.0
             yaw = float(rng.uniform(-math.pi, math.pi))
 
-            dims = spec.dims
-            centers, depths, widths = spec.dent_centers, spec.dent_depths, spec.dent_widths
             if spec.cls in DEFORMABLE_CLASSES:
                 scale = rng.normal(1.0, cfg.articulation, size=3)
-                dims = tuple(float(max(d * s, 0.2)) for d, s in zip(dims, scale))
-                centers = centers + rng.normal(0, cfg.articulation * 2, size=centers.shape)
-                depths = np.clip(depths + rng.normal(0, cfg.articulation, size=depths.shape), 0.0, 0.5)
+                f_size[i] = [max(d * s, 0.2) for d, s in zip(spec.dims, scale)]
+                f_centers[i] += rng.normal(0, cfg.articulation * 2, size=(_N_DENTS, 2))
+                f_depths[i] = np.clip(f_depths[i] + rng.normal(0, cfg.articulation, size=_N_DENTS),
+                                      0.0, 0.5)
 
-            n = int(rng.poisson(spec.lam))
-            local = _sample_surface(rng, dims, n)
-            local = _apply_dents(local, dims, centers, depths, widths)
-            local += rng.normal(0, cfg.sensor_noise, size=local.shape)
+            counts[i] = n = int(rng.poisson(spec.lam))
+            face, coord = _draw_surface(rng, f_size[i], n)
+            faces.append(face)
+            coords.append(coord)
+            noise.append(rng.normal(0, cfg.sensor_noise, size=(n, 3)))
             gt_box = Box3D((cx, cy, cz), spec.dims, yaw)
-            cloud.append(uncanonicalize(local, gt_box))
+            f_center[i] = gt_box.center
+            f_cos[i], f_sin[i] = math.cos(gt_box.yaw), math.sin(gt_box.yaw)
             gt.append(GtTrackRecord(frame=frame, box=gt_box, object_id=spec.object_id, cls=spec.cls))
             det_box = Box3D(
                 (cx + rng.normal(0, cfg.sigma_center),
@@ -207,6 +228,18 @@ def generate_synthetic(
                 score=float(rng.uniform(0.5, 1.0)),
                 predicted_class=spec.cls,
             ))
+
+        # place phase: all the frame's object points at once, each point
+        # computed elementwise from its own object's draws, then to the world
+        cloud = []
+        if objects:
+            owner = np.repeat(np.arange(m), counts)
+            p_size = f_size[owner]
+            local = _sample_surface(np.concatenate(faces), np.concatenate(coords), p_size)
+            local = _apply_dents(local, p_size, owner, f_centers, f_depths, widths)
+            local += np.concatenate(noise)
+            local[:, 0], local[:, 1] = _rotate(local[:, 0], local[:, 1], f_cos[owner], f_sin[owner])
+            cloud.append(local + f_center[owner])
 
         # clutter blobs, placed in their own grid rows south of all objects
         for k in range(int(rng.poisson(cfg.fp_rate))):

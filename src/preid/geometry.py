@@ -116,12 +116,17 @@ def hungarian(cost) -> Assignment:
     return Assignment(pairs, float(cost[rows, cols].sum()))
 
 
-def _rotate_yaw(x, y, yaw: float):
-    """Rotate (x, y) about z by ``yaw``: the one yaw formula, for Python
-    floats and for float64 columns alike. Elementwise, so a point rounds
-    the same alone, in any batch, and as a float or an array element."""
-    c, s = math.cos(yaw), math.sin(yaw)
+def _rotate(x, y, c, s):
+    """Rotate (x, y) about z by the angle whose cosine and sine are (c, s):
+    the one yaw formula, for Python floats and for float64 columns alike.
+    Elementwise, so a point rounds the same alone, in any batch, and as a
+    float or an array element; c and s may be one per point."""
     return c * x - s * y, s * x + c * y
+
+
+def _rotate_yaw(x, y, yaw: float):
+    """Rotate (x, y) about z by ``yaw``, with ``math.cos`` and ``math.sin``."""
+    return _rotate(x, y, math.cos(yaw), math.sin(yaw))
 
 
 def canonicalize(points, box: Box3D) -> np.ndarray:

@@ -10,11 +10,14 @@ sampling takes the candidates of every bucket. The eval-set builder takes
 only the exact bucket of each positive's partner.
 
 Every draw uses a stream keyed by (seed, epoch, object id), so per-object
-sampling is order-independent and reproducible.
+sampling is order-independent and reproducible. The epoch samplers build
+their index of a dataset once and reuse it while they are called on the
+same dataset with the same observations, so a training run builds it once.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -59,7 +62,8 @@ class _Index:
     """Negative candidates over a dataset, as (owner, observation id) entries:
     the owner is the object id of a TP and None for an FP. ``by_class`` keys
     them by (is_fp, class) and ``by_bucket`` by (is_fp, class) and then
-    bucket, both in dataset order."""
+    bucket, both in dataset order. ``shares`` holds each object's buckets,
+    ascending, and the share of its observations in each."""
 
     def __init__(self, ds: ReidDataset, min_points: int = 1):
         self.objects = sorted(ds.index)
@@ -67,6 +71,7 @@ class _Index:
         self.bucket_of: dict[str, int] = {}
         self.by_class: dict[tuple[bool, str], list[tuple[str | None, str]]] = {}
         self.by_bucket: dict[tuple[bool, str], dict[int, list[tuple[str | None, str]]]] = {}
+        self.shares: dict[str, tuple[list[int], list[float]]] = {}
         owners = [(o, ds.class_of[o], ds.index[o]) for o in self.objects]
         owners += [(None, cls, ids) for cls, ids in sorted(ds.fp_index.items())]
         for owner, cls, ids in owners:
@@ -82,6 +87,8 @@ class _Index:
                 kept.append(i)
             if owner is not None:
                 self.obs_of[owner] = kept
+                counts = Counter(self.bucket_of[i] for i in kept)
+                self.shares[owner] = sorted(counts), [counts[k] / len(kept) for k in sorted(counts)]
 
     def pool(self, is_fp: bool, cls: str, anchor: str, bucket: int | None = None,
              stats: SamplerStats | None = None) -> list[str]:
@@ -121,12 +128,27 @@ def _sample_negative(index: _Index, rng, object_id: str, cls: str,
     return None
 
 
+# the last dataset the epoch samplers read: (weak reference, size, index)
+_epoch_index: tuple = (None, -1, None)
+
+
+def _index_for_epochs(ds: ReidDataset) -> _Index:
+    """The index of ``ds``, rebuilt only for another dataset or one that has
+    grown since (``ReidDataset.add`` is the only way to change one)."""
+    global _epoch_index
+    ref, size, index = _epoch_index
+    if ref is None or ref() is not ds or size != len(ds):
+        index = _Index(ds)
+        _epoch_index = (weakref.ref(ds), len(ds), index)
+    return index
+
+
 def _epoch(ds: ReidDataset, seed: int, epoch: int, even: bool,
            stats: SamplerStats | None) -> list[PairSample]:
     if not ds.index:
         raise ValueError("dataset has no objects")
     stats = stats if stats is not None else SamplerStats()
-    index = _Index(ds)
+    index = _index_for_epochs(ds)
     out: list[PairSample] = []
     for object_id in index.objects:
         rng = keyed_rng(seed, epoch, object_id)
@@ -143,9 +165,8 @@ def _epoch(ds: ReidDataset, seed: int, epoch: int, even: bool,
             continue
         bucket = None
         if even:
-            counts = Counter(index.bucket_of[i] for i in obs)
-            keys = sorted(counts)
-            bucket = keys[int(rng.choice(len(keys), p=[counts[k] / len(obs) for k in keys]))]
+            keys, shares = index.shares[object_id]
+            bucket = keys[int(rng.choice(len(keys), p=shares))]
         neg = _sample_negative(index, rng, object_id, cls, bucket, stats)
         if neg is None:
             stats.no_negative_pool += 1

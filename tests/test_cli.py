@@ -131,6 +131,7 @@ BAD_CONFIG_VALUES = [
     ("gen-synthetic", {"n_objects": {"car": "2"}}),
     ("gen-synthetic", {"n_objects": {"car": -1}}),
     ("gen-synthetic", {"n_objects": 5}),
+    ("gen-synthetic", {"n_objects": {}, "fp_rate": 2.0}),
     ("gen-synthetic", {"lam": {"a": 1.0}}),
     ("gen-synthetic", {"dim_spread": 1.0}),
 ]

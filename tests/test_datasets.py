@@ -11,6 +11,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import preid.data.extract
+import preid.data.synthetic
 from preid.data import (
     ConfigError,
     DetectionRecord,
@@ -32,8 +33,17 @@ from preid.data import (
     write_gt,
 )
 from preid.data.extract import _REACH_MARGIN
-from preid.data.synthetic import _apply_dents, _sample_surface
+from preid.data.synthetic import (
+    _CELL,
+    _CLASS_DIMS,
+    _N_DENTS,
+    DEFORMABLE_CLASSES,
+    _apply_dents,
+    _draw_surface,
+    _sample_surface,
+)
 from preid.geometry import Box3D, crop, hungarian, iou_3d, uncanonicalize
+from preid.util import keyed_rng
 
 
 def _det(frame, center, cls="car", score=0.9, size=(4.0, 2.0, 1.5), yaw=0.0):
@@ -543,34 +553,148 @@ def _apply_dents_loop(points, dims, centers, depths, widths):
     return out
 
 
+def _generate_per_object(cfg, seed):
+    """generate_synthetic as it was before the frame-level place pass: each
+    object's points drawn, placed and moved to the world in turn, with the
+    loop references above for the surface and the dents. Also returns the
+    generator, for its final state."""
+    rng = keyed_rng(seed, "synth")
+    lam_choices = cfg.lam if isinstance(cfg.lam, list) else [cfg.lam]
+    objects = []
+    for cls in sorted(cfg.n_objects):
+        for j in range(cfg.n_objects[cls]):
+            dims = tuple(
+                float(rng.uniform(lo, hi) * (1 + rng.uniform(-cfg.dim_spread, cfg.dim_spread)))
+                for lo, hi in _CLASS_DIMS[cls]
+            )
+            lam = float(lam_choices[int(rng.integers(len(lam_choices)))])
+            base_xy = (float((len(objects) % 100) * _CELL), float((len(objects) // 100) * _CELL))
+            objects.append((f"{cls}-{j:04d}", cls, dims, lam, base_xy,
+                            rng.uniform(0, 1, size=(_N_DENTS, 2)),
+                            rng.uniform(0.05, 0.30, size=_N_DENTS),
+                            rng.uniform(0.08, 0.25, size=_N_DENTS)))
+    detections, gt, frame_points = [], [], {}
+    for frame in range(cfg.frames):
+        cloud = []
+        for object_id, cls, spec_dims, lam, base_xy, centers, depths, widths in objects:
+            cx = base_xy[0] + float(rng.uniform(-0.5, 0.5))
+            cy = base_xy[1] + float(rng.uniform(-0.5, 0.5))
+            cz = spec_dims[2] / 2.0
+            yaw = float(rng.uniform(-math.pi, math.pi))
+            dims = spec_dims
+            if cls in DEFORMABLE_CLASSES:
+                scale = rng.normal(1.0, cfg.articulation, size=3)
+                dims = tuple(float(max(d * s, 0.2)) for d, s in zip(dims, scale))
+                centers = centers + rng.normal(0, cfg.articulation * 2, size=centers.shape)
+                depths = np.clip(depths + rng.normal(0, cfg.articulation, size=depths.shape),
+                                 0.0, 0.5)
+            n = int(rng.poisson(lam))
+            local = _sample_surface_loop(rng, dims, n)
+            local = _apply_dents_loop(local, dims, centers, depths, widths)
+            local += rng.normal(0, cfg.sensor_noise, size=local.shape)
+            gt_box = Box3D((cx, cy, cz), spec_dims, yaw)
+            cloud.append(uncanonicalize(local, gt_box))
+            gt.append(GtTrackRecord(frame=frame, box=gt_box, object_id=object_id, cls=cls))
+            det_box = Box3D((cx + rng.normal(0, cfg.sigma_center),
+                             cy + rng.normal(0, cfg.sigma_center),
+                             cz + rng.normal(0, cfg.sigma_center / 2)),
+                            spec_dims, yaw + rng.normal(0, cfg.sigma_yaw))
+            detections.append(DetectionRecord(frame=frame, box=det_box,
+                                              score=float(rng.uniform(0.5, 1.0)),
+                                              predicted_class=cls))
+        for k in range(int(rng.poisson(cfg.fp_rate))):
+            cls = sorted(cfg.n_objects)[int(rng.integers(len(cfg.n_objects)))]
+            dims = tuple(float(rng.uniform(lo, hi)) for lo, hi in _CLASS_DIMS[cls])
+            cx = float(rng.uniform(0, 100 * _CELL))
+            cy = -_CELL * (2 + k)
+            cz = dims[2] / 2.0
+            n = max(int(rng.poisson(float(lam_choices[int(rng.integers(len(lam_choices)))]))), 1)
+            cloud.append(rng.normal(0, 1, size=(n, 3)) * (np.asarray(dims) / 5.0) + (cx, cy, cz))
+            detections.append(DetectionRecord(
+                frame=frame, box=Box3D((cx, cy, cz), dims, float(rng.uniform(-math.pi, math.pi))),
+                score=float(rng.uniform(0.5, 1.0)), predicted_class=cls))
+        frame_points[frame] = np.concatenate(cloud, axis=0).astype(np.float32) if cloud \
+            else np.empty((0, 3), dtype=np.float32)
+    return detections, gt, frame_points, rng
+
+
 _dims = st.tuples(*[st.floats(1e-3, 50.0)] * 3)
-_surface_draws = (_dims, st.integers(0, 300), st.integers(0, 2**32 - 1))
+# the (dims, point count) of each object in one frame
+_frame_objects = st.lists(st.tuples(_dims, st.integers(0, 300)), min_size=1, max_size=4)
+_seeds = st.integers(0, 2**32 - 1)
+_lams = st.floats(0.05, 40.0)
+
+
+@st.composite
+def _synth_configs(draw):
+    """Small worlds with rigid and deformable classes, zero-count classes,
+    lam lists, lams low enough for zero-point draws, and fp_rate 0 or not."""
+    classes = draw(st.lists(st.sampled_from(sorted(_CLASS_DIMS)), min_size=1, max_size=5,
+                            unique=True))
+    return SynthConfig(
+        n_objects={cls: draw(st.integers(0, 3)) for cls in classes},
+        frames=draw(st.integers(1, 3)),
+        lam=draw(_lams | st.lists(_lams, min_size=1, max_size=3)),
+        sigma_center=draw(st.floats(0.0, 0.5)),
+        sigma_yaw=draw(st.floats(0.0, 0.5)),
+        fp_rate=draw(st.just(0.0) | st.floats(0.1, 3.0)),
+        articulation=draw(st.floats(0.0, 0.3)),
+        dim_spread=draw(st.floats(0.0, 0.9)),
+        sensor_noise=draw(st.floats(0.0, 0.1)),
+    )
 
 
 class TestSynthetic:
     @settings(max_examples=200, deadline=None)
-    @given(*_surface_draws)
-    def test_surface_matches_per_point_loop(self, dims, n, seed):
+    @given(_frame_objects, _seeds)
+    def test_surface_matches_per_point_loop(self, objects, seed):
         rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        pts = _sample_surface(rng, dims, n)
-        ref = _sample_surface_loop(ref_rng, dims, n)
-        assert pts.shape == ref.shape == (n, 3)
+        faces, coords = zip(*(_draw_surface(rng, np.asarray(dims), n) for dims, n in objects))
+        size = np.repeat([dims for dims, _ in objects], [n for _, n in objects], axis=0)
+        pts = _sample_surface(np.concatenate(faces), np.concatenate(coords), size)
+        ref = np.concatenate([_sample_surface_loop(ref_rng, dims, n) for dims, n in objects])
+        assert pts.shape == ref.shape == (len(size), 3)
         assert pts.tobytes() == ref.tobytes()
         # same draws, so everything generated after the surface is unchanged
         assert rng.bit_generator.state == ref_rng.bit_generator.state
 
     @settings(max_examples=200, deadline=None)
-    @given(*_surface_draws)
-    def test_dents_match_per_dent_loop(self, dims, n, seed):
+    @given(_frame_objects, _seeds)
+    def test_dents_match_per_dent_loop(self, objects, seed):
         rng = np.random.default_rng(seed)
-        points = _sample_surface_loop(rng, dims, n)
+        points = [_sample_surface_loop(rng, dims, n) for dims, n in objects]
         # centres as a deformable object's jitter leaves them, depths up to the clip
-        centers = rng.uniform(0, 1, size=(6, 2)) + rng.normal(0, 0.2, size=(6, 2))
-        depths = rng.uniform(0.0, 0.5, size=6)
-        widths = rng.uniform(0.08, 0.25, size=6)
-        out = _apply_dents(points, dims, centers, depths, widths)
-        ref = _apply_dents_loop(points, dims, centers, depths, widths)
+        centers = rng.uniform(0, 1, size=(len(objects), 6, 2)) \
+            + rng.normal(0, 0.2, size=(len(objects), 6, 2))
+        depths = rng.uniform(0.0, 0.5, size=(len(objects), 6))
+        widths = rng.uniform(0.08, 0.25, size=(len(objects), 6))
+        counts = [n for _, n in objects]
+        owner = np.repeat(np.arange(len(objects)), counts)
+        size = np.repeat([dims for dims, _ in objects], counts, axis=0)
+        out = _apply_dents(np.concatenate(points), size, owner, centers, depths, widths)
+        ref = np.concatenate([_apply_dents_loop(p, dims, centers[i], depths[i], widths[i])
+                              for i, (p, (dims, _)) in enumerate(zip(points, objects))])
         assert out.tobytes() == ref.tobytes()
+
+    @settings(max_examples=150, deadline=None)
+    @given(_synth_configs(), _seeds)
+    def test_matches_per_object_loop(self, cfg, seed):
+        made = []
+
+        def recording_rng(*keys):
+            made.append(keyed_rng(*keys))
+            return made[-1]
+
+        with mock.patch.object(preid.data.synthetic, "keyed_rng", recording_rng):
+            dets, gts, frames = generate_synthetic(cfg, seed)
+        ref_dets, ref_gts, ref_frames, ref_rng = _generate_per_object(cfg, seed)
+        assert dets == ref_dets
+        assert gts == ref_gts
+        assert sorted(frames) == sorted(ref_frames) == list(range(cfg.frames))
+        for f in frames:
+            assert frames[f].shape == ref_frames[f].shape
+            assert frames[f].tobytes() == ref_frames[f].tobytes()
+        assert made[0].bit_generator.state == ref_rng.bit_generator.state
 
     def test_determinism(self):
         cfg = SynthConfig(n_objects={"car": 4, "bicycle": 2}, frames=3)
@@ -628,6 +752,8 @@ class TestSynthetic:
             SynthConfig(frames=0)
         with pytest.raises(ConfigError, match="lam"):
             SynthConfig(lam={"a": 1.0})
+        with pytest.raises(ConfigError, match="n_objects"):
+            SynthConfig(n_objects={})
 
     @pytest.mark.parametrize("name", ["sigma_center", "sigma_yaw", "fp_rate", "articulation",
                                       "sensor_noise"])
