@@ -8,6 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from preid import sampling
 from preid.data import FormatError, Observation, ReidDataset
 from preid.sampling import (
     MATCH,
@@ -120,6 +121,23 @@ class TestEpochBasics:
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
             even_epoch(ReidDataset(), seed=0)
+
+    def test_index_built_once_per_dataset(self, monkeypatch):
+        builds = []
+        monkeypatch.setattr(sampling, "_Index",
+                            lambda ds, *args, _real=sampling._Index: builds.append(ds) or _real(ds, *args))
+        ds = make_ds({"a": [8, 8], "b": [16, 16, 4]}, fp_spec=[8])
+        for e in range(3):
+            even_epoch(ds, seed=0, epoch=e)
+        uniform_epoch(ds, seed=0)
+        assert len(builds) == 1
+        # a grown dataset gets a fresh index: the new object is sampled
+        ds.add(Observation("new", "c", "car", 99, np.zeros((8, 3), np.float32), 0.9))
+        pairs = even_epoch(ds, seed=0, epoch=3)
+        assert len(builds) == 2 and "new" in {p.obs_a for p in pairs}
+        assert pairs == _ref_epoch(ds, 0, 3, True, SamplerStats())
+        even_epoch(make_ds({"a": [8, 8], "b": [16, 16, 4]}, fp_spec=[8]), seed=0)
+        assert len(builds) == 3
 
 
 class TestBucketConditioning:
