@@ -38,6 +38,7 @@ import numpy as np
 
 # canonicalize is unused here, but perfbench/tracer.py wraps it by this name
 from ..geometry import Box3D, canonicalize, crop, hungarian, iou_3d
+from ..util import check_range
 from .records import DetectionRecord, GtTrackRecord, Observation, ReidDataset
 
 _FORBIDDEN_COST = 1e6
@@ -91,10 +92,8 @@ def extract_observations(
     tau_c: float = 0.1,
     tau_iou: float = 0.01,
 ) -> ReidDataset:
-    if not 0 <= tau_c < 1:
-        raise ValueError(f"extract_observations tau_c must lie in [0, 1), got {tau_c}")
-    if not 0 < tau_iou <= 1:
-        raise ValueError(f"extract_observations tau_iou must lie in (0, 1], got {tau_iou}")
+    check_range("extract_observations tau_c", tau_c, "[0, 1)")
+    check_range("extract_observations tau_iou", tau_iou, "(0, 1]")
     by_frame_det: dict[int, list[tuple[int, DetectionRecord]]] = {}
     for i, det in enumerate(detections):
         by_frame_det.setdefault(det.frame, []).append((i, det))

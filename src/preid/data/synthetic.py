@@ -57,17 +57,12 @@ class SynthConfig:
     sensor_noise: float = 0.015              # per-point Gaussian noise, meters
 
     def __post_init__(self):
-        check_numbers(self, {"n_objects": 0, "frames": 1},
-                      ("lam", "sigma_center", "sigma_yaw", "fp_rate", "articulation",
-                       "dim_spread", "sensor_noise"), listable=("lam",))
-        lams = self.lam if isinstance(self.lam, list) else [self.lam]
-        if not lams or any(l <= 0 for l in lams):
-            raise ConfigError(f"lam must be positive, got {self.lam}")
-        for name in ("sigma_center", "sigma_yaw", "fp_rate", "articulation", "sensor_noise"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be non-negative, got {getattr(self, name)}")
-        if not (0.0 <= self.dim_spread < 1.0):
-            raise ConfigError("dim_spread must lie in [0, 1)")
+        check_numbers(self, {"n_objects": "[0, inf)", "frames": "[1, inf)"},
+                      {"lam": "(0, inf)", "sigma_center": "[0, inf)", "sigma_yaw": "[0, inf)",
+                       "fp_rate": "[0, inf)", "articulation": "[0, inf)",
+                       "dim_spread": "[0, 1)", "sensor_noise": "[0, inf)"}, listable=("lam",))
+        if self.lam == []:
+            raise ConfigError("lam must hold at least one value")
         if not self.n_objects:
             raise ConfigError("n_objects must name at least one class")
         for cls in self.n_objects:

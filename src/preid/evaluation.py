@@ -12,7 +12,7 @@ import scipy.optimize
 from .data.records import ReidDataset
 from .model.network import ReidModel, resample_points
 from .sampling import MATCH, EvalSet
-from .util import keyed_rng
+from .util import check_range, keyed_rng
 
 BOTH_ATLEAST = "both"
 ONE_ATLEAST = "one"
@@ -74,8 +74,7 @@ def _score_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
 
 def predict_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
                   threshold: float = 0.5, seed: int = 0) -> PairPredictions:
-    if not 0.0 <= threshold <= 1.0:  # a NaN fails too
-        raise ValueError(f"predict_pairs threshold must lie in [0, 1], got {threshold}")
+    check_range("predict_pairs threshold", threshold, "[0, 1]")
     if not eval_set.pairs:
         raise ValueError("eval set is empty")
     with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
@@ -128,9 +127,9 @@ def evaluate(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
 
 
 def check_density_thresholds(thresholds: list[int]) -> None:
-    """Raise ValueError unless every density threshold is at least 1."""
-    if any(x < 1 for x in thresholds):
-        raise ValueError(f"density_curve thresholds must each be at least 1, got {thresholds}")
+    """Raise a ConfigError unless every density threshold is at least 1."""
+    for x in thresholds:
+        check_range("density_curve thresholds", x, "[1, inf)")
 
 
 def density_curve(pred: PairPredictions, mode: str,
@@ -164,10 +163,13 @@ def fit_power_law(points: list[tuple[float, float]],
         raise ValueError("need at least 3 (compute, error) points to fit")
     if eps_inf_grid is None:
         eps_inf_grid = [float(v) for v in range(9)]
+    for compute, error in points:
+        check_range("fit_power_law compute value", compute, "(0, inf)")
+        check_range("fit_power_law error value", error, "(-inf, inf)")
+    for eps_inf in eps_inf_grid:
+        check_range("fit_power_law error floor", eps_inf, "(-inf, inf)")
     x = np.asarray([p[0] for p in points], dtype=np.float64)
     err = np.asarray([p[1] for p in points], dtype=np.float64)
-    if np.any(x <= 0):
-        raise ValueError("compute values must be positive")
     best: PowerLawFit | None = None
     for eps_inf in eps_inf_grid:
         if np.any(err <= eps_inf):
@@ -207,12 +209,9 @@ def bench(model: ReidModel, batch_size: int = 512, n_trials: int = 20,
     """Time ``score_batch`` on one batch of Gaussian clouds. They repeat
     neither a point nor a cloud: this is the worst case, not the speed on an
     eval set, whose pairs share clouds that repeat most of their points."""
-    if batch_size < 1:
-        raise ValueError(f"bench batch_size must be at least 1, got {batch_size}")
-    if n_trials < 1:
-        raise ValueError(f"bench n_trials must be at least 1, got {n_trials}")
-    if warmup < 0:
-        raise ValueError(f"bench warmup must not be negative, got {warmup}")
+    check_range("bench batch_size", batch_size, "[1, inf)")
+    check_range("bench n_trials", n_trials, "[1, inf)")
+    check_range("bench warmup", warmup, "[0, inf)")
     rng = np.random.default_rng(seed)
     n = model.encoder_cfg.n_points
     pairs = [

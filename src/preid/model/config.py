@@ -21,7 +21,7 @@ class EncoderConfig:
     knn: int = 8  # edgeconv only
 
     def __post_init__(self):
-        check_numbers(self, {"out_dim": 1, "n_points": 1, "hidden": 1, "knn": 1})
+        check_numbers(self, dict.fromkeys(("out_dim", "n_points", "hidden", "knn"), "[1, inf)"))
         if self.kind not in (POINTNET_LITE, EDGECONV_LITE):
             raise ValueError(f"unknown encoder kind {self.kind!r}")
         if self.kind == EDGECONV_LITE and self.n_points < self.knn:
@@ -37,8 +37,8 @@ class RtmmConfig:
     res_hidden: int = 0        # 0 means 2*dim
 
     def __post_init__(self):
-        check_numbers(self, {"layers": 1, "dim": 1, "pos_hidden": 1, "mlp_hidden": 1,
-                             "res_hidden": 0})
+        check_numbers(self, {**dict.fromkeys(("layers", "dim", "pos_hidden", "mlp_hidden"),
+                                             "[1, inf)"), "res_hidden": "[0, inf)"})
 
 
 def config_to_json(encoder: EncoderConfig, rtmm: RtmmConfig) -> str:

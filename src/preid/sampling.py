@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from .data.io import read_records, write_records
 from .data.records import FormatError, ReidDataset
 from .geometry import bucket_index
-from .util import keyed_rng
+from .util import check_range, keyed_rng
 
 MATCH = "MATCH"
 NON_MATCH = "NON_MATCH"
@@ -196,8 +196,7 @@ def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
     if len(ds) == 0:
         raise ValueError("dataset is empty")
     for name, value in (("max_pos_per_object", max_pos_per_object), ("min_points", min_points)):
-        if value < 1:
-            raise ValueError(f"build_eval_set {name} must be at least 1, got {value}")
+        check_range(f"build_eval_set {name}", value, "[1, inf)")
     index = _Index(ds, min_points=min_points)
     ev = EvalSet()
     for object_id in index.objects:

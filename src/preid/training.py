@@ -50,14 +50,10 @@ class TrainConfig:
                                                # accuracy reaches this level
 
     def __post_init__(self):
-        early_stop = () if self.early_stop_accuracy is None else ("early_stop_accuracy",)
-        check_numbers(self, {"batch_size": 1, "epochs": 1, "seed": 0},
-                      ("lr_base", "weight_decay", "clip_norm", "target_ratio_up",
-                       "target_ratio_down", "step_ratio_up", *early_stop))
-        if self.clip_norm <= 0:
-            raise ValueError("clip_norm must be positive")
-        if not (0.0 < self.step_ratio_up < 1.0):
-            raise ValueError("step_ratio_up must lie in (0, 1)")
+        check_numbers(self, {"batch_size": "[1, inf)", "epochs": "[1, inf)", "seed": "[0, inf)"},
+                      {"lr_base": "(0, inf)", "weight_decay": "[0, inf)", "clip_norm": "(0, inf)",
+                       "target_ratio_up": "(0, inf)", "target_ratio_down": "(0, inf)",
+                       "step_ratio_up": "(0, 1)", "early_stop_accuracy": "[0, 1]"})
         if self.sampler not in (EVEN, UNIFORM):
             raise ValueError(f"unknown sampler {self.sampler!r}")
 

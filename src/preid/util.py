@@ -6,7 +6,6 @@ from __future__ import annotations
 import ctypes
 import dataclasses
 import hashlib
-import math
 import os
 import tempfile
 from contextlib import contextmanager
@@ -77,34 +76,46 @@ class ConfigError(ValueError):
     """A configuration value is unknown, of the wrong type or out of range."""
 
 
-def check_numbers(cfg, ints: dict[str, int], reals: tuple[str, ...] = (),
+def check_range(name: str, value, interval: str) -> None:
+    """Raise a ConfigError unless ``value`` lies in ``interval``, written as
+    in mathematics: ``"[0, 1)"``, ``"(0, inf)"``. The bounds compare by
+    Python's own ``<`` and ``<=``, so ints of any size compare exactly, NaN
+    lies in no interval and an infinity only in one closed at that end."""
+    lo, hi = (float(bound) for bound in interval[1:-1].split(","))
+    above = lo <= value if interval[0] == "[" else lo < value
+    below = value <= hi if interval[-1] == "]" else value < hi
+    if not (above and below):
+        raise ConfigError(f"{name} must lie in {interval}, got {value!r}")
+
+
+def check_numbers(cfg, ints: dict[str, str], reals: dict[str, str] | None = None,
                   listable: tuple[str, ...] = ()) -> None:
     """Check the fields of a config dataclass. A field whose default is a
     list or a dict (built by its default factory) must hold a value of that
-    type. Each field named in ``ints`` must hold an int of at least the
-    given minimum, and each named in ``reals`` a finite int or float; a bool
-    is neither. A list or dict field is checked item by item, and so is a
+    type. Each field named in ``ints`` must hold an int, and each named in
+    ``reals`` an int or a float, that lies in the interval it maps to
+    (``check_range``); a bool is neither. A field whose default is None may
+    hold None. A list or dict field is checked item by item, and so is a
     list in a field named in ``listable``; any other field is checked as
     one value, so a list or dict there is an error. Raises a ConfigError
     naming the field."""
-    containers = set()
+    containers, optional = set(), {f.name for f in dataclasses.fields(cfg) if f.default is None}
     for f in dataclasses.fields(cfg):
         if f.default_factory is not dataclasses.MISSING:
             kind, value = type(f.default_factory()), getattr(cfg, f.name)
             if not isinstance(value, kind):
                 raise ConfigError(f"{f.name}: {value!r} is not a {kind.__name__}")
             containers.add(f.name)
-    for name in (*ints, *reals):
+    for name, interval in (*ints.items(), *(reals or {}).items()):
         value = getattr(cfg, name)
         if name in containers:
             items = value.values() if isinstance(value, dict) else value
+        elif value is None and name in optional:
+            items = []
         else:
             items = value if name in listable and isinstance(value, list) else [value]
         kind, want = (int, "an int") if name in ints else ((int, float), "a number")
         for v in items:
             if isinstance(v, bool) or not isinstance(v, kind):
                 raise ConfigError(f"{name}: {v!r} is not {want}")
-            if name in ints and v < ints[name]:
-                raise ConfigError(f"{name}: {v!r} is below {ints[name]}")
-            if not math.isfinite(v):
-                raise ConfigError(f"{name}: {v!r} is not finite")
+            check_range(name, v, interval)

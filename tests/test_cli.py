@@ -10,6 +10,7 @@ import re
 import shutil
 import struct
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -127,6 +128,12 @@ BAD_CONFIG_VALUES = [
     ("train", {"knn": [8]}),
     ("train", {"seed": 2.5}),
     ("train", {"early_stop_accuracy": "x"}),
+    ("train", {"lr_base": 0}),
+    ("train", {"lr_base": -1.0}),
+    ("train", {"weight_decay": -0.5}),
+    ("train", {"target_ratio_up": 0.0}),
+    ("train", {"target_ratio_down": -1.0}),
+    ("train", {"early_stop_accuracy": 1.5}),
     ("gen-synthetic", {"frames": 2.5}),
     ("gen-synthetic", {"n_objects": {"car": "2"}}),
     ("gen-synthetic", {"n_objects": {"car": -1}}),
@@ -520,6 +527,8 @@ class TestExitCodes:
         ("curve", "--threshold", "1.5", "threshold"),
         ("curve", "--thresholds", "0,-5", "thresholds"),
         ("curve", "--thresholds", "2,0", "thresholds"),
+        ("train", "--lr", "-1", "lr_base"),
+        ("train", "--weight-decay", "-3", "weight_decay"),
     ])
     def test_out_of_range_gate_is_data_error(self, pipeline, tmp_path, capsys,
                                              command, flag, value, name):
@@ -553,6 +562,7 @@ class TestExitCodes:
         ([], {"articulation": -0.1}, "articulation"),
     ], ids=["fp_rate", "sigma_yaw", "articulation"])
     def test_negative_scale_names_its_field(self, tmp_path, capsys, flags, config, name):
+        value = float(flags[-1]) if config is None else config[name]
         if config is not None:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             flags = ["--config", str(tmp_path / "cfg.json")]
@@ -560,7 +570,7 @@ class TestExitCodes:
         assert main(["gen-synthetic", "--out", str(out), *flags]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert f"{name} must be non-negative" in err
+        assert f"{name} must lie in [0, inf), got {value!r}" in err
         if config is not None:
             assert str(tmp_path / "cfg.json") in err
         assert not out.exists()
@@ -604,6 +614,16 @@ class TestExitCodes:
             args += ["--dataset", str(pipeline / "ds")]
         assert main(args) == 2
         assert str(cfg) in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_int_beyond_float_range_is_data_error(self, pipeline, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"seed": {10 ** 400}, "lr_base": -1.0}}')
+        assert main(["train", "--dataset", str(pipeline / "ds"), "--out", str(tmp_path / "o"),
+                     "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(cfg) in err and "lr_base must lie in (0, inf), got -1.0" in err
         assert not (tmp_path / "o").exists()
 
     def test_detection_in_missing_frame_is_data_error(self, pipeline, tmp_path, capsys):
@@ -799,6 +819,21 @@ class TestFitPowerlaw:
         assert main(["fit-powerlaw", "--points", "10,5.0;100,3.0"]) == 2
         capsys.readouterr()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--points", "10,5;100,3;1000,2", "--grid", "nan"],
+         "error floor must lie in (-inf, inf), got nan"),
+        (["--points", "inf,5;100,3;1000,2"], "compute value must lie in (0, inf), got inf"),
+        (["--points", "1,nan;2,3;3,4"], "error value must lie in (-inf, inf), got nan"),
+    ], ids=["nan grid", "inf compute", "nan error"])
+    def test_non_finite_input_is_data_error(self, tmp_path, capfd, flags, message):
+        # capfd also sees what LAPACK prints straight to the file descriptors
+        assert main(["fit-powerlaw", *flags, "--out", str(tmp_path / "powerlaw.json")]) == 2
+        captured = capfd.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and len(captured.err.splitlines()) == 1
+        assert message in captured.err
+        assert not any(tmp_path.iterdir())
+
 
 class TestConfigOverrides:
     def test_flags_win_over_config(self, tmp_path):
@@ -932,6 +967,11 @@ class TestTrainConfig:
         assert (model.encoder_cfg, model.rtmm_cfg) == (BENCH_ENCODER, BENCH_HEAD)
         assert got == TrainConfig(**BENCH_TRAIN)
         assert_same_params(model, ReidModel(BENCH_ENCODER, BENCH_HEAD, seed=BENCH_TRAIN["seed"]))
+
+    def test_readme_builds_criterion_7_from_this_config(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = re.search(r"^cat > bench_model\.json <<'JSON'\n(.*?)^JSON$", readme, re.M | re.S)
+        assert json.loads(block.group(1)) == CRITERION_7_CONFIG
 
     @pytest.mark.parametrize("flags, seed", [([], 4), (["--seed", "5"], 5)])
     def test_file_seed_and_flag_override(self, pipeline, tmp_path, fake_train, flags, seed):

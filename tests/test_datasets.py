@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import re
 import struct
 from unittest import mock
 
@@ -758,6 +759,7 @@ class TestSynthetic:
     @pytest.mark.parametrize("name", ["sigma_center", "sigma_yaw", "fp_rate", "articulation",
                                       "sensor_noise"])
     def test_negative_scale_names_its_field(self, name):
-        with pytest.raises(ConfigError, match=f"^{name} must be non-negative, got -0.1$"):
+        message = f"{name} must lie in [0, inf), got -0.1"
+        with pytest.raises(ConfigError, match=f"^{re.escape(message)}$"):
             SynthConfig(**{name: -0.1})
         assert getattr(SynthConfig(**{name: 0.0}), name) == 0.0
