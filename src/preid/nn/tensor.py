@@ -66,7 +66,12 @@ class Tensor:
         return float(self.data)
 
     def backward(self, grad=None):
-        """Reverse-mode sweep from this node; accumulates into leaf ``.grad``."""
+        """Reverse-mode sweep from this node; accumulates into leaf ``.grad``.
+
+        A graph is swept once. When the sweep ends, every node it ran drops
+        its backward closure and its parents, so the graph's arrays are freed
+        when ``backward()`` returns, however long the caller keeps the output.
+        A second ``backward()`` through a spent node raises ``GradError``."""
         if grad is None:
             if self.data.size != 1:
                 raise GradError("backward() without an explicit gradient requires a scalar output")
@@ -88,6 +93,7 @@ class Tensor:
                 stack.append((node, True))
                 stack.extend((p, False) for p in node._parents)
 
+        # keyed by id(): topo holds every node until the sweep ends, so no id is reused
         grads: dict[int, np.ndarray] = {id(self): grad}
         for node in reversed(topo):
             g = grads.pop(id(node), None)
@@ -100,6 +106,10 @@ class Tensor:
                     grads[key] = grads[key] + pg if key in grads else pg
             elif node.requires_grad:
                 node.grad = g.copy() if node.grad is None else node.grad + g
+        # a spent node keeps only its own data, so the graph's arrays go now
+        for node in topo:
+            if node._spent:
+                node._backward, node._parents = None, ()
 
     # -- operator sugar --------------------------------------------------
 

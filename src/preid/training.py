@@ -179,9 +179,11 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     stopped = saved = False
     try:
         for epoch in range(cfg.epochs):
+            t_sample = time.perf_counter()
             pairs = sampler(ds, cfg.seed, epoch=epoch)
             order = keyed_rng(cfg.seed, "order", epoch).permutation(len(pairs))
             pairs = [pairs[i] for i in order]
+            sample_s = time.perf_counter() - t_sample
             for lo in range(0, len(pairs), cfg.batch_size):
                 batch = pairs[lo:lo + cfg.batch_size]
                 t_pack = time.perf_counter()
@@ -210,6 +212,7 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
                 })
                 timings.append({
                     "step": step,
+                    "sample_ms": _ms(sample_s) if lo == 0 else 0.0,
                     "pack_ms": _ms(t_forward - t_pack),
                     "forward_ms": _ms(t_backward - t_forward),
                     "backward_ms": _ms(t_optimizer - t_backward),

@@ -7,6 +7,7 @@ import ctypes
 import dataclasses
 import hashlib
 import os
+import sys
 import tempfile
 from contextlib import contextmanager
 from pathlib import Path
@@ -94,11 +95,11 @@ def check_numbers(cfg, ints: dict[str, str], reals: dict[str, str] | None = None
     list or a dict (built by its default factory) must hold a value of that
     type. Each field named in ``ints`` must hold an int, and each named in
     ``reals`` an int or a float, that lies in the interval it maps to
-    (``check_range``); a bool is neither. A field whose default is None may
-    hold None. A list or dict field is checked item by item, and so is a
-    list in a field named in ``listable``; any other field is checked as
-    one value, so a list or dict there is an error. Raises a ConfigError
-    naming the field."""
+    (``check_range``); a bool is neither, and a real field rejects an int
+    beyond float range. A field whose default is None may hold None. A list
+    or dict field is checked item by item, and so is a list in a field named
+    in ``listable``; any other field is checked as one value, so a list or
+    dict there is an error. Raises a ConfigError naming the field."""
     containers, optional = set(), {f.name for f in dataclasses.fields(cfg) if f.default is None}
     for f in dataclasses.fields(cfg):
         if f.default_factory is not dataclasses.MISSING:
@@ -118,4 +119,6 @@ def check_numbers(cfg, ints: dict[str, str], reals: dict[str, str] | None = None
         for v in items:
             if isinstance(v, bool) or not isinstance(v, kind):
                 raise ConfigError(f"{name}: {v!r} is not {want}")
+            if isinstance(v, int) and name not in ints and abs(v) > sys.float_info.max:
+                raise ConfigError(f"{name}: {v!r} is beyond float range")
             check_range(name, v, interval)

@@ -626,6 +626,21 @@ class TestExitCodes:
         assert str(cfg) in err and "lr_base must lie in (0, inf), got -1.0" in err
         assert not (tmp_path / "o").exists()
 
+    @pytest.mark.parametrize("command, field", [("gen-synthetic", "fp_rate"),
+                                                ("train", "lr_base")])
+    def test_real_field_beyond_float_range_is_data_error(self, pipeline, tmp_path, capsys,
+                                                         command, field):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(f'{{"{field}": {10 ** 400}}}')
+        args = [command, "--out", str(tmp_path / "o"), "--config", str(cfg)]
+        if command == "train":
+            args += ["--dataset", str(pipeline / "ds")]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert str(cfg) in err and f"{field}: {10 ** 400} is beyond float range" in err
+        assert not (tmp_path / "o").exists()
+
     def test_detection_in_missing_frame_is_data_error(self, pipeline, tmp_path, capsys):
         logs = tmp_path / "logs"
         shutil.copytree(pipeline / "logs", logs)

@@ -1,5 +1,7 @@
 """Autodiff core: forward values, gradients vs finite differences, tape rules."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -253,6 +255,34 @@ class TestTapeRules:
     def test_pool_concat_empty_set(self):
         with pytest.raises(ShapeError):
             nn.pool_concat(Tensor(np.ones((2, 0, 3))))
+
+
+class TestGraphRelease:
+    def test_backward_frees_the_graph(self):
+        # about 2.6 MB of taped float32 intermediates: 8 x relu(layer_norm(linear))
+        rng = np.random.default_rng(0)
+        h = Tensor(rng.normal(size=(256, 64)).astype(np.float32))
+        w = Tensor(rng.normal(0, 0.1, size=(64, 64)).astype(np.float32), requires_grad=True)
+        gain = Tensor(np.ones(64, dtype=np.float32), requires_grad=True)
+        bias = Tensor(np.zeros(64, dtype=np.float32), requires_grad=True)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            for _ in range(8):
+                h = nn.relu(nn.layer_norm(nn.linear(h, w), gain, bias))
+            loss = nn.tsum(h)
+            del h
+            graph = tracemalloc.get_traced_memory()[0] - start
+            loss.backward()
+            held = tracemalloc.get_traced_memory()[0] - start
+        finally:
+            tracemalloc.stop()
+        # the loss is still referenced, yet its graph's arrays are gone
+        assert graph > 2 << 20
+        assert held <= 0.1 * graph, (graph, held)
+        assert loss._backward is None and loss._parents == ()
+        with pytest.raises(GradError):
+            loss.backward()
 
 
 class TestPooling:

@@ -4,6 +4,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -204,9 +205,34 @@ class TestTrainLoop:
         rows = [json.loads(l) for l in (tmp_path / "run" / "timings.jsonl").read_text().splitlines()]
         assert [r["step"] for r in rows] == list(range(report.steps))
         for r in rows:
-            for key in ("pack_ms", "forward_ms", "backward_ms", "optimizer_ms", "pairs_per_s"):
+            for key in ("sample_ms", "pack_ms", "forward_ms", "backward_ms", "optimizer_ms",
+                        "pairs_per_s"):
                 assert math.isfinite(r[key]) and r[key] >= 0, (key, r)
             assert r["pairs_per_s"] > 0
+        # the sampler runs once an epoch, before the epoch's first step
+        epochs = [json.loads(l)["epoch"]
+                  for l in (tmp_path / "run" / "metrics.jsonl").read_text().splitlines()]
+        firsts = [i == 0 or epochs[i] != epochs[i - 1] for i in range(len(rows))]
+        assert sum(firsts) == 2
+        for r, first in zip(rows, firsts):
+            assert (r["sample_ms"] > 0) if first else (r["sample_ms"] == 0), r
+
+    def test_train_holds_one_graph(self, tmp_path):
+        # each epoch is one step; a step's graph is freed by its backward, so
+        # more steps do not raise the peak
+        def peak(epochs):
+            ds, model = small_dataset(n_objects=16), small_model()
+            tracemalloc.start()
+            try:
+                start = tracemalloc.get_traced_memory()[0]
+                train(model, ds, TrainConfig(batch_size=64, epochs=epochs, seed=0),
+                      tmp_path / f"run{epochs}")
+                return tracemalloc.get_traced_memory()[1] - start
+            finally:
+                tracemalloc.stop()
+
+        one, three = peak(1), peak(3)
+        assert three <= 1.1 * one, (one, three)
 
     def test_checkpoint_loadable(self, tmp_path):
         ds = small_dataset()
