@@ -68,7 +68,7 @@ USAGE_ERROR = 1
 DATA_ERROR = 2
 
 # FormatError, InputError, ConfigError and CheckpointError are ValueErrors
-_DATA_ERRORS = (ValueError, FileNotFoundError, NotADirectoryError, TrainingError)
+_DATA_ERRORS = (ValueError, OSError, TrainingError)
 
 
 class _Parser(argparse.ArgumentParser):

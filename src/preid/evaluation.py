@@ -77,14 +77,16 @@ def predict_pairs(model: ReidModel, eval_set: EvalSet, ds: ReidDataset,
     check_range("predict_pairs threshold", threshold, "[0, 1]")
     if not eval_set.pairs:
         raise ValueError("eval set is empty")
-    with np.errstate(over="ignore", invalid="ignore"):  # reported below, once
+    # a non-finite logit is reported below, once; exp(-logit) overflows to
+    # inf for a large finite one, whose probability 0 is correct
+    with np.errstate(over="ignore", invalid="ignore"):
         logits = _score_pairs(model, eval_set, ds, seed)
+        probs = 1.0 / (1.0 + np.exp(-logits))
     bad = ~np.isfinite(logits)
     if bad.any():
         first = eval_set.pairs[int(np.argmax(bad))]
         raise ValueError(f"{int(bad.sum())} of {len(logits)} pairs scored a non-finite "
                          f"logit; the first is ({first.obs_a}, {first.obs_b})")
-    probs = 1.0 / (1.0 + np.exp(-logits))
     pred_match = probs >= threshold
     is_match = np.array([p.label == MATCH for p in eval_set.pairs])
     return PairPredictions(

@@ -10,14 +10,13 @@ sampling takes the candidates of every bucket. The eval-set builder takes
 only the exact bucket of each positive's partner.
 
 Every draw uses a stream keyed by (seed, epoch, object id), so per-object
-sampling is order-independent and reproducible. The epoch samplers build
-their index of a dataset once and reuse it while they are called on the
-same dataset with the same observations, so a training run builds it once.
+sampling is order-independent and reproducible. The samplers read a
+`PairIndex` that the caller builds: `train()` builds one per run and
+passes it to every epoch, and `build_eval_set` builds its own.
 """
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -58,12 +57,13 @@ class EvalSet:
     skipped_negatives: int = 0
 
 
-class _Index:
+class PairIndex:
     """Negative candidates over a dataset, as (owner, observation id) entries:
     the owner is the object id of a TP and None for an FP. ``by_class`` keys
     them by (is_fp, class) and ``by_bucket`` by (is_fp, class) and then
     bucket, both in dataset order. ``shares`` holds each object's buckets,
-    ascending, and the share of its observations in each."""
+    ascending, and the share of its observations in each. The samplers read
+    the index alone, so one built before an ``add`` does not see it."""
 
     def __init__(self, ds: ReidDataset, min_points: int = 1):
         self.objects = sorted(ds.index)
@@ -72,7 +72,8 @@ class _Index:
         self.by_class: dict[tuple[bool, str], list[tuple[str | None, str]]] = {}
         self.by_bucket: dict[tuple[bool, str], dict[int, list[tuple[str | None, str]]]] = {}
         self.shares: dict[str, tuple[list[int], list[float]]] = {}
-        owners = [(o, ds.class_of[o], ds.index[o]) for o in self.objects]
+        self.class_of = {o: ds.class_of[o] for o in self.objects}
+        owners = [(o, self.class_of[o], ds.index[o]) for o in self.objects]
         owners += [(None, cls, ids) for cls, ids in sorted(ds.fp_index.items())]
         for owner, cls, ids in owners:
             key = (owner is None, cls)
@@ -111,7 +112,7 @@ def _pick(rng, pool: list):
     return pool[int(rng.integers(len(pool)))]
 
 
-def _sample_negative(index: _Index, rng, object_id: str, cls: str,
+def _sample_negative(index: PairIndex, rng, object_id: str, cls: str,
                      bucket: int | None, stats: SamplerStats) -> tuple[str, bool] | None:
     """Pick a negative partner (obs id, is_fp). `bucket` None means uniform."""
     want_fp = rng.random() <= 0.5
@@ -128,34 +129,18 @@ def _sample_negative(index: _Index, rng, object_id: str, cls: str,
     return None
 
 
-# the last dataset the epoch samplers read: (weak reference, size, index)
-_epoch_index: tuple = (None, -1, None)
-
-
-def _index_for_epochs(ds: ReidDataset) -> _Index:
-    """The index of ``ds``, rebuilt only for another dataset or one that has
-    grown since (``ReidDataset.add`` is the only way to change one)."""
-    global _epoch_index
-    ref, size, index = _epoch_index
-    if ref is None or ref() is not ds or size != len(ds):
-        index = _Index(ds)
-        _epoch_index = (weakref.ref(ds), len(ds), index)
-    return index
-
-
-def _epoch(ds: ReidDataset, seed: int, epoch: int, even: bool,
+def _epoch(index: PairIndex, seed: int, epoch: int, even: bool,
            stats: SamplerStats | None) -> list[PairSample]:
-    if not ds.index:
+    if not index.objects:
         raise ValueError("dataset has no objects")
     stats = stats if stats is not None else SamplerStats()
-    index = _index_for_epochs(ds)
     out: list[PairSample] = []
     for object_id in index.objects:
         rng = keyed_rng(seed, epoch, object_id)
         obs = index.obs_of[object_id]
         if not obs:
             continue
-        cls = ds.class_of[object_id]
+        cls = index.class_of[object_id]
         o1 = _pick(rng, obs)
         others = [i for i in obs if i != o1]
         if rng.random() <= 0.5:
@@ -177,16 +162,16 @@ def _epoch(ds: ReidDataset, seed: int, epoch: int, even: bool,
     return out
 
 
-def even_epoch(ds: ReidDataset, seed: int, epoch: int = 0,
+def even_epoch(index: PairIndex, seed: int, epoch: int = 0,
                stats: SamplerStats | None = None) -> list[PairSample]:
     """One bucket-conditioned pair per unique object."""
-    return _epoch(ds, seed, epoch, even=True, stats=stats)
+    return _epoch(index, seed, epoch, even=True, stats=stats)
 
 
-def uniform_epoch(ds: ReidDataset, seed: int, epoch: int = 0,
+def uniform_epoch(index: PairIndex, seed: int, epoch: int = 0,
                   stats: SamplerStats | None = None) -> list[PairSample]:
     """One pair per unique object; negatives drawn uniformly, no bucket match."""
-    return _epoch(ds, seed, epoch, even=False, stats=stats)
+    return _epoch(index, seed, epoch, even=False, stats=stats)
 
 
 def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
@@ -197,7 +182,7 @@ def build_eval_set(ds: ReidDataset, max_pos_per_object: int = 10,
         raise ValueError("dataset is empty")
     for name, value in (("max_pos_per_object", max_pos_per_object), ("min_points", min_points)):
         check_range(f"build_eval_set {name}", value, "[1, inf)")
-    index = _Index(ds, min_points=min_points)
+    index = PairIndex(ds, min_points=min_points)
     ev = EvalSet()
     for object_id in index.objects:
         rng = keyed_rng(seed, "eval", object_id)
@@ -262,6 +247,8 @@ def read_eval_set(path, ds: ReidDataset) -> EvalSet:
             if ds.get(obs_id).n_points != n:
                 raise FormatError(f"{where}: n_{side} is {n}, but observation {obs_id!r} "
                                   f"has {ds.get(obs_id).n_points} points")
+            if n == 0:
+                raise FormatError(f"{where}: observation {obs_id!r} has no points to score")
         a, b = ds.get(rec["obs_a"]), ds.get(rec["obs_b"])
         label = MATCH if not a.is_fp and a.object_id == b.object_id else NON_MATCH
         if (rec["label"], rec["class"]) != (label, a.predicted_class):

@@ -23,7 +23,7 @@ from .data.records import ReidDataset
 from .model.checkpoint import save_checkpoint
 from .model.config import config_to_json
 from .model.network import ReidModel, resample_points
-from .sampling import MATCH, even_epoch, uniform_epoch
+from .sampling import MATCH, PairIndex, even_epoch, uniform_epoch
 from .util import atomic_write, check_numbers, fix_heap_thresholds, keyed_rng
 
 EVEN = "even"
@@ -157,6 +157,7 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     with atomic_write(out_dir / "model_config.json") as f:
         f.write(config_to_json(model.encoder_cfg, model.rtmm_cfg))
     sampler = even_epoch if cfg.sampler == EVEN else uniform_epoch
+    index = PairIndex(ds)
     n_objects = ds.n_objects()
     steps_per_epoch = math.ceil(n_objects / cfg.batch_size)
     total_steps = steps_per_epoch * cfg.epochs
@@ -180,7 +181,7 @@ def train(model: ReidModel, ds: ReidDataset, cfg: TrainConfig, out_dir) -> Train
     try:
         for epoch in range(cfg.epochs):
             t_sample = time.perf_counter()
-            pairs = sampler(ds, cfg.seed, epoch=epoch)
+            pairs = sampler(index, cfg.seed, epoch=epoch)
             order = keyed_rng(cfg.seed, "order", epoch).permutation(len(pairs))
             pairs = [pairs[i] for i in order]
             sample_s = time.perf_counter() - t_sample

@@ -39,7 +39,7 @@ from preid.model import (
     load_checkpoint,
     save_checkpoint,
 )
-from preid.sampling import MATCH, build_eval_set, even_epoch, uniform_epoch
+from preid.sampling import MATCH, PairIndex, build_eval_set, even_epoch, uniform_epoch
 from preid.training import TrainConfig, train
 
 pytestmark = pytest.mark.acceptance
@@ -193,11 +193,13 @@ def test_criterion_04_gradient_correctness(capsys):
 
 
 def test_criterion_05_even_sampling_density_matching(capsys, benchmark_ds):
+    index = PairIndex(benchmark_ds)
+
     def tv_over_20k(sampler):
         pos, neg = {}, {}
         total, epoch = 0, 0
         while total < 20000:
-            for p in sampler(benchmark_ds, seed=7, epoch=epoch):
+            for p in sampler(index, seed=7, epoch=epoch):
                 b = bucket_index(min(benchmark_ds.get(p.obs_a).n_points,
                                      benchmark_ds.get(p.obs_b).n_points))
                 side = pos if p.label == MATCH else neg

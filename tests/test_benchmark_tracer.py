@@ -8,12 +8,16 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import preid.cli
 import preid.nn
 import preid.nn.tensor
-from preid.data import read_dataset
+import preid.training
+from preid.data import SynthConfig, extract_observations, generate_synthetic, read_dataset
 from preid.model import EncoderConfig, ReidModel, RtmmConfig
+from preid.sampling import PairIndex, SamplerStats, even_epoch, uniform_epoch
+from preid.training import TrainConfig
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -99,3 +103,28 @@ def test_extraction_counts_each_point_once(tmp_path):
     assert counts["geometry.crop_points_kept"] == written > 0
     # crop's inside test and the written points share one rotation
     assert counts["geometry.canonicalize_points"] == counts["geometry.crop_points_in"]
+
+
+@pytest.mark.parametrize("sampler_name", ["even", "uniform"])
+def test_sampler_calls_rerun_as_train_made_them(tmp_path, sampler_name):
+    # run.py recovers the sampler counters of a traced train() by re-running
+    # each recorded epoch-sampler call as sampler(*args, **kwargs, stats=...)
+    cfg = SynthConfig(n_objects={"car": 6}, frames=4, lam=24.0, fp_rate=0.5)
+    ds = extract_observations(*generate_synthetic(cfg, 0))
+    model = ReidModel(EncoderConfig(out_dim=8, n_points=8, hidden=[8]),
+                      RtmmConfig(layers=1, dim=8, pos_hidden=[8], mlp_hidden=[8]))
+    tracer = load_tracer().Tracer()
+    tracer.instrument()
+    try:
+        preid.training.train(model, ds, TrainConfig(batch_size=4, epochs=2, seed=3,
+                                                     sampler=sampler_name), tmp_path / "run")
+    finally:
+        tracer.restore()
+    want = even_epoch if sampler_name == "even" else uniform_epoch
+    assert [sampler for sampler, _, _ in tracer.epoch_calls] == [want, want]
+    rerun, direct = SamplerStats(), SamplerStats()
+    for epoch, (sampler, args, kwargs) in enumerate(tracer.epoch_calls):
+        assert isinstance(args[0], PairIndex)
+        assert sampler(*args, **kwargs, stats=rerun) == \
+            want(PairIndex(ds), 3, epoch=epoch, stats=direct)
+    assert rerun == direct

@@ -454,6 +454,23 @@ class TestExitCodes:
         assert main(["inspect", "--dataset", str(ds)]) == 2
         capsys.readouterr()
 
+    def test_log_path_that_is_a_directory_is_data_error(self, pipeline, tmp_path, capsys):
+        logs = tmp_path / "logs"
+        shutil.copytree(pipeline / "logs", logs)
+        (logs / "detections.jsonl").unlink()
+        (logs / "detections.jsonl").mkdir()
+        assert main(["build-dataset", "--logs", str(logs), "--out", str(tmp_path / "ds")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+        assert str(logs / "detections.jsonl") in err[0]
+
+    def test_out_path_that_is_a_file_is_data_error(self, pipeline, tmp_path, capsys):
+        out = tmp_path / "ds"
+        out.write_text("")
+        assert main(["build-dataset", "--logs", str(pipeline / "logs"), "--out", str(out)]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and str(out) in err[0]
+
     def test_bad_config_file_is_data_error(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{oops")

@@ -227,6 +227,16 @@ class TestEvaluate:
                                                  r"the first is \(o00, o01\)$"):
                 predict_pairs(model, ev, ds)
 
+    def test_large_finite_logits_raise_no_warning(self):
+        # exp(1000) overflows, but the probability it gives, 0, is right
+        ds, ev = tiny_eval_setup()
+        model = tiny_model()
+        model.params["rtmm.head.out.bias"].data[:] = -1000.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            p = predict_pairs(model, ev, ds)
+        np.testing.assert_array_equal(p.correct, ~p.is_match)  # every pair NON_MATCH
+
 
 class TestBench:
     def test_report_structure(self):

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from preid import sampling
 from preid.data import FormatError, Observation, ReidDataset
 from preid.sampling import (
     MATCH,
     NON_MATCH,
     EvalSet,
+    PairIndex,
     PairSample,
     SamplerStats,
     build_eval_set,
@@ -60,14 +60,15 @@ def tv_distance(h1, h2):
 
 class TestEpochBasics:
     def test_one_pair_per_object(self):
-        ds = make_ds({"a": [8, 8], "b": [16, 16], "c": [8]}, fp_spec=[8, 16])
-        pairs = even_epoch(ds, seed=0)
+        index = PairIndex(make_ds({"a": [8, 8], "b": [16, 16], "c": [8]}, fp_spec=[8, 16]))
+        pairs = even_epoch(index, seed=0)
         assert len(pairs) == 3
 
     def test_labels_and_classes(self):
         ds = make_ds({"a": [8, 8], "b": [16, 16]}, fp_spec=[8])
+        index = PairIndex(ds)
         for epoch in range(20):
-            for p in even_epoch(ds, seed=1, epoch=epoch):
+            for p in even_epoch(index, seed=1, epoch=epoch):
                 assert p.label in (MATCH, NON_MATCH)
                 assert p.cls == "car"
                 if p.label == MATCH:
@@ -76,24 +77,24 @@ class TestEpochBasics:
                     assert ds.get(p.obs_a).object_id != ds.get(p.obs_b).object_id
 
     def test_determinism_and_epoch_variation(self):
-        ds = make_ds({"a": [8, 8, 8], "b": [16, 16], "c": [4, 4]}, fp_spec=[8])
-        a = even_epoch(ds, seed=3, epoch=2)
-        b = even_epoch(ds, seed=3, epoch=2)
+        index = PairIndex(make_ds({"a": [8, 8, 8], "b": [16, 16], "c": [4, 4]}, fp_spec=[8]))
+        a = even_epoch(index, seed=3, epoch=2)
+        b = even_epoch(index, seed=3, epoch=2)
         assert a == b
-        assert even_epoch(ds, seed=3, epoch=3) != a or even_epoch(ds, seed=4, epoch=2) != a
+        assert even_epoch(index, seed=3, epoch=3) != a or even_epoch(index, seed=4, epoch=2) != a
 
     def test_positive_fraction_near_half(self):
-        ds = make_ds({f"obj{i}": [8, 8, 8] for i in range(10)}, fp_spec=[8, 8])
-        pairs = [p for e in range(200) for p in even_epoch(ds, seed=5, epoch=e)]
+        index = PairIndex(make_ds({f"obj{i}": [8, 8, 8] for i in range(10)}, fp_spec=[8, 8]))
+        pairs = [p for e in range(200) for p in even_epoch(index, seed=5, epoch=e)]
         frac = sum(p.label == MATCH for p in pairs) / len(pairs)
         assert abs(frac - 0.5) < 0.03
 
     def test_self_pair_fallback_counted(self):
-        ds = make_ds({"solo": [8]})
+        index = PairIndex(make_ds({"solo": [8]}))
         stats = SamplerStats()
         hit = False
         for e in range(50):
-            for p in even_epoch(ds, seed=0, epoch=e, stats=stats):
+            for p in even_epoch(index, seed=0, epoch=e, stats=stats):
                 if p.label == MATCH and p.obs_a == p.obs_b:
                     hit = True
         assert hit and stats.self_pair > 0
@@ -101,18 +102,18 @@ class TestEpochBasics:
         assert stats.no_negative_pool > 0
 
     def test_no_fp_class_fallback(self):
-        ds = make_ds({"a": [8, 8], "b": [8, 8]})  # no FPs at all
+        index = PairIndex(make_ds({"a": [8, 8], "b": [8, 8]}))  # no FPs at all
         stats = SamplerStats()
-        pairs = [p for e in range(100) for p in even_epoch(ds, 0, epoch=e, stats=stats)]
+        pairs = [p for e in range(100) for p in even_epoch(index, 0, epoch=e, stats=stats)]
         assert stats.no_fp_class > 0
         assert all(not p.is_fp_pair for p in pairs)
 
     def test_no_tp_class_fallback_counted(self):
         # one object and two FPs: a TP-branch draw finds no other object and
         # falls back to an FP of the whole class
-        ds = make_ds({"a": [8, 64]}, fp_spec=[8, 64])
+        index = PairIndex(make_ds({"a": [8, 64]}, fp_spec=[8, 64]))
         stats = SamplerStats()
-        pairs = [p for e in range(400) for p in even_epoch(ds, 0, epoch=e, stats=stats)]
+        pairs = [p for e in range(400) for p in even_epoch(index, 0, epoch=e, stats=stats)]
         negatives = [p for p in pairs if p.label == NON_MATCH]
         assert negatives and all(p.is_fp_pair for p in negatives)
         assert 0 < stats.no_tp_class < len(negatives)
@@ -120,24 +121,7 @@ class TestEpochBasics:
 
     def test_empty_dataset(self):
         with pytest.raises(ValueError):
-            even_epoch(ReidDataset(), seed=0)
-
-    def test_index_built_once_per_dataset(self, monkeypatch):
-        builds = []
-        monkeypatch.setattr(sampling, "_Index",
-                            lambda ds, *args, _real=sampling._Index: builds.append(ds) or _real(ds, *args))
-        ds = make_ds({"a": [8, 8], "b": [16, 16, 4]}, fp_spec=[8])
-        for e in range(3):
-            even_epoch(ds, seed=0, epoch=e)
-        uniform_epoch(ds, seed=0)
-        assert len(builds) == 1
-        # a grown dataset gets a fresh index: the new object is sampled
-        ds.add(Observation("new", "c", "car", 99, np.zeros((8, 3), np.float32), 0.9))
-        pairs = even_epoch(ds, seed=0, epoch=3)
-        assert len(builds) == 2 and "new" in {p.obs_a for p in pairs}
-        assert pairs == _ref_epoch(ds, 0, 3, True, SamplerStats())
-        even_epoch(make_ds({"a": [8, 8], "b": [16, 16, 4]}, fp_spec=[8]), seed=0)
-        assert len(builds) == 3
+            even_epoch(PairIndex(ReidDataset()), seed=0)
 
 
 class TestBucketConditioning:
@@ -150,11 +134,12 @@ class TestBucketConditioning:
 
     def test_even_matches_anchor_bucket_distribution(self):
         ds = self._biased_ds()
+        index = PairIndex(ds)
         # for even sampling the negative's bucket must be drawn from the
         # anchor object's own bucket frequencies
         counts = {}
         for e in range(300):
-            for p in even_epoch(ds, seed=7, epoch=e):
+            for p in even_epoch(index, seed=7, epoch=e):
                 if p.label == NON_MATCH and ds.get(p.obs_a).object_id == "lo0":
                     b = ds.get(p.obs_b).bucket
                     counts[b] = counts.get(b, 0) + 1
@@ -165,10 +150,11 @@ class TestBucketConditioning:
 
     def test_even_beats_uniform_on_tv(self):
         ds = self._biased_ds()
+        index = PairIndex(ds)
         even_pairs, uni_pairs = [], []
         for e in range(150):
-            even_pairs += even_epoch(ds, seed=11, epoch=e)
-            uni_pairs += uniform_epoch(ds, seed=11, epoch=e)
+            even_pairs += even_epoch(index, seed=11, epoch=e)
+            uni_pairs += uniform_epoch(index, seed=11, epoch=e)
         tv_even = tv_distance(*bucket_marginals(ds, even_pairs))
         tv_uni = tv_distance(*bucket_marginals(ds, uni_pairs))
         assert tv_even < tv_uni
@@ -178,9 +164,10 @@ class TestBucketConditioning:
         # object with observations split 2:1 between buckets 3 and 6
         ds = make_ds({"mix": [8, 9, 64], "other": [8, 9, 64, 65]},
                      fp_spec=[8, 9, 10, 64, 65, 66])
+        index = PairIndex(ds)
         draws = {3: 0, 6: 0}
         for e in range(4000):
-            for p in even_epoch(ds, seed=13, epoch=e):
+            for p in even_epoch(index, seed=13, epoch=e):
                 if p.label == NON_MATCH and ds.get(p.obs_a).object_id == "mix":
                     draws[ds.get(p.obs_b).bucket] += 1
         total = sum(draws.values())
@@ -189,10 +176,10 @@ class TestBucketConditioning:
     def test_bucket_shift_fallback(self):
         # anchor in bucket 5, everything else in bucket 2: pool at the target
         # bucket is empty, nearest nonempty must be used and counted
-        ds = make_ds({"a": [40, 41], "b": [5, 6], "c": [5, 7]})
+        index = PairIndex(make_ds({"a": [40, 41], "b": [5, 6], "c": [5, 7]}))
         stats = SamplerStats()
         for e in range(60):
-            even_epoch(ds, seed=17, epoch=e, stats=stats)
+            even_epoch(index, seed=17, epoch=e, stats=stats)
         assert stats.bucket_shift > 0
 
 
@@ -263,6 +250,19 @@ class TestEvalSet:
         ev.pairs[i] = dataclasses.replace(ev.pairs[i], **edit)
         write_eval_set(ev, tmp_path / "pairs.jsonl")
         with pytest.raises(FormatError, match=re.escape(f"pairs.jsonl:{i + 1}: ")):
+            read_eval_set(tmp_path / "pairs.jsonl", ds)
+
+    @pytest.mark.parametrize("side", [0, 1])
+    def test_read_rejects_a_pair_with_no_points(self, tmp_path, side):
+        # o0001 has 0 points; build_eval_set skips it, a hand-made pair may not
+        ds = make_ds({"a": [8, 0, 9], "b": [8, 9]}, fp_spec=[8])
+        ev = build_eval_set(ds, seed=2)
+        sides = [("o0001", 0), ("o0002", 9)]
+        (a, n_a), (b, n_b) = sides if side == 0 else sides[::-1]
+        ev.pairs.insert(0, PairSample(a, b, MATCH, "car"))
+        ev.densities.insert(0, (n_a, n_b))
+        write_eval_set(ev, tmp_path / "pairs.jsonl")
+        with pytest.raises(FormatError, match=re.escape("pairs.jsonl:1: observation 'o0001' ")):
             read_eval_set(tmp_path / "pairs.jsonl", ds)
 
     def test_empty_dataset(self):
@@ -462,7 +462,7 @@ class TestMatchesReference:
         for even, sampler in ((True, even_epoch), (False, uniform_epoch)):
             got, want = SamplerStats(), SamplerStats()
             for e in (epoch, epoch + 1, epoch + 2):
-                assert sampler(ds, seed, e, stats=got) == _ref_epoch(ds, seed, e, even, want)
+                assert sampler(PairIndex(ds), seed, e, stats=got) == _ref_epoch(ds, seed, e, even, want)
             assert [getattr(got, f) for f in _STATS_FIELDS] == \
                 [getattr(want, f) for f in _STATS_FIELDS]
 

@@ -15,6 +15,7 @@ from preid import nn, training
 from preid.data import SynthConfig, extract_observations, generate_synthetic
 from preid.model import EncoderConfig, ReidModel, RtmmConfig, load_checkpoint, save_checkpoint
 from preid.nn import Tensor
+from preid.sampling import PairIndex
 from preid.training import (
     AdamW,
     TrainConfig,
@@ -187,6 +188,19 @@ class TestTrainLoop:
         cfg = TrainConfig(batch_size=4, epochs=3, seed=0)  # ceil(10/4)=3 steps
         report = train(model, ds, cfg, tmp_path / "run")
         assert report.steps == 9 and report.epochs == 3
+
+    def test_pair_index_built_once_per_run(self, tmp_path, monkeypatch):
+        builds = []
+
+        def counting(ds, *args):
+            builds.append(ds)
+            return PairIndex(ds, *args)
+
+        monkeypatch.setattr(training, "PairIndex", counting)
+        ds = small_dataset()
+        report = train(small_model(), ds, TrainConfig(batch_size=8, epochs=3, seed=0),
+                       tmp_path / "run")
+        assert report.epochs == 3 and len(builds) == 1 and builds[0] is ds
 
     def test_metrics_bit_identical_across_runs(self, tmp_path):
         ds = small_dataset()
